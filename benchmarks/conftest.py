@@ -2,7 +2,7 @@
 
 Every benchmark prints the rows of the table/figure it regenerates (captured
 with ``pytest benchmarks/ --benchmark-only -s``) in addition to the
-pytest-benchmark timing output, so the EXPERIMENTS.md numbers can be
+pytest-benchmark timing output, so the ``BENCH_*.json`` summaries can be
 refreshed from a single run.
 """
 
@@ -13,6 +13,23 @@ from repro.ontologies import build_unified_ontology
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "benchmark: benchmark harness tests")
+
+
+@pytest.fixture(scope="session")
+def wall_clock_thresholds(request):
+    """Whether this run enforces the benchmarks' wall-clock thresholds.
+
+    Only a dedicated timed run does: ``--benchmark-only``, or
+    ``--benchmark-enable`` to also time the self-timed comparisons —
+    pytest-benchmark skips tests that never call its fixture under
+    ``--benchmark-only``.  Everywhere else — tier-1 collects
+    ``benchmarks/`` before ``tests/`` and runs with ``-x``, next to
+    whatever else the box is doing — the structural checks of each
+    benchmark still run, but a slow machine cannot stop the suite before a
+    unit test has executed.
+    """
+    option = request.config.getoption
+    return bool(option("benchmark_only", False) or option("benchmark_enable", False))
 
 
 @pytest.fixture(scope="session")

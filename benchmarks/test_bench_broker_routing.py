@@ -92,7 +92,7 @@ def test_bench_linear_publish_throughput(benchmark, count):
     benchmark(run)
 
 
-def test_routing_scales_sublinearly():
+def test_routing_scales_sublinearly(wall_clock_thresholds):
     """Trie routing must not grow linearly with the subscription count.
 
     A 10x increase in subscriptions (100 -> 1000) multiplies the linear
@@ -118,6 +118,8 @@ def test_routing_scales_sublinearly():
         })
     print_table("Broker routing: trie vs linear scan (per publish)", rows)
 
+    if not wall_clock_thresholds:
+        return
     trie_growth = per_publish[1000][0] / per_publish[100][0]
     linear_growth = per_publish[1000][1] / per_publish[100][1]
     # the trie's 100 -> 1000 growth factor must be far below the linear
@@ -151,7 +153,7 @@ def _middleware(ontology_library, annotate=False):
     )
 
 
-def test_bench_ingest_batch_vs_single(ontology_library):
+def test_bench_ingest_batch_vs_single(ontology_library, wall_clock_thresholds):
     """Batch ingestion must measurably beat the per-record loop at 10k records."""
     records = _ingestion_records(10_000)
 
@@ -174,7 +176,8 @@ def test_bench_ingest_batch_vs_single(ontology_library):
     ])
     # stage-major batching amortises term alignment, graph commits and the
     # CEP flush; it must clearly beat the per-record loop, not just tie it
-    assert batch_time < single_time * 0.8
+    if wall_clock_thresholds:
+        assert batch_time < single_time * 0.8
 
 
 def test_bench_ingest_batch_throughput(benchmark, ontology_library):

@@ -99,7 +99,7 @@ def _build(data_dir: Optional[Path]) -> SemanticMiddleware:
     )
 
 
-def test_bench_wal_append_overhead(tmp_path):
+def test_bench_wal_append_overhead(tmp_path, wall_clock_thresholds):
     """Journalling every mutation must cost < 20% on a 10k-record ingest.
 
     The comparison interleaves the two sides at *batch* granularity: a
@@ -194,9 +194,10 @@ def test_bench_wal_append_overhead(tmp_path):
         "wal_bytes": wal_bytes,
         "wal_bytes_per_record": wal_bytes / TOTAL_RECORDS,
     })
-    assert overhead < MAX_OVERHEAD, (
-        f"WAL append overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%}"
-    )
+    if wall_clock_thresholds:
+        assert overhead < MAX_OVERHEAD, (
+            f"WAL append overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%}"
+        )
 
 
 def test_bench_recovery_time_vs_store_size(tmp_path):

@@ -62,7 +62,7 @@ def test_bench_forecast_skill_table(benchmark, runs):
     print_table("E4: forecast skill by method (mean over seeds)", rows)
 
     by_method = {row["method"]: row for row in rows}
-    # Shape checks (see EXPERIMENTS.md E4 for the full discussion): the
+    # Shape checks (experiment E4): the
     # integrated forecaster is substantially more accurate and better
     # calibrated than indigenous knowledge alone, and the IK arm is what
     # provides the long warning lead the statistical baseline lacks.

@@ -57,7 +57,7 @@ def test_bench_incremental_batch_topup(benchmark):
     assert reasoner.last_trace is not None
 
 
-def test_bench_incremental_vs_from_scratch_scaling(request):
+def test_bench_incremental_vs_from_scratch_scaling(wall_clock_thresholds):
     """The E7 table: per-batch reasoning cost as the graph grows ~10x."""
     library = build_unified_ontology(materialize=False)
     graph = library.graph
@@ -106,11 +106,10 @@ def test_bench_incremental_vs_from_scratch_scaling(request):
     # the graph grew >= 10x past the materialized ontology seed
     assert len(graph) >= 10 * base_size
 
-    if request.config.getoption("benchmark_disable", False):
-        # quick mode (CI bench-smoke): the structural checks above — the
-        # loop ran and the incremental closure is a true fixpoint at every
-        # checkpoint — are the rot detector; wall-clock ratios are only
-        # asserted on a quiet local machine
+    if not wall_clock_thresholds:
+        # the structural checks above — the loop ran and the incremental
+        # closure is a true fixpoint at every checkpoint — are the rot
+        # detector; wall-clock ratios are only asserted in a timed run
         return
     # from-scratch cost grows with total graph size ...
     assert full_times[BATCHES - 1] > 1.5 * full_times[0]

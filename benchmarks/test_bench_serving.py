@@ -147,7 +147,7 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def test_bench_serving_mixed_sessions(benchmark):
+def test_bench_serving_mixed_sessions(benchmark, wall_clock_thresholds):
     served = SemanticMiddleware(
         library=build_unified_ontology(materialize=True),
         config=MiddlewareConfig(annotate_observations=True, broker_latency=0.0),
@@ -226,7 +226,8 @@ def test_bench_serving_mixed_sessions(benchmark):
 
         # --- the loop never stalled: engine work stayed on the executor - #
         max_lag_ms = metrics["event_loop"]["max_lag_ms"]
-        assert max_lag_ms < 100.0, f"event loop stalled {max_lag_ms} ms"
+        if wall_clock_thresholds:
+            assert max_lag_ms < 100.0, f"event loop stalled {max_lag_ms} ms"
         assert result.ws_messages > 0
 
         latencies = sorted(result.latencies_ms)

@@ -183,7 +183,7 @@ def _run_poll_cycle(middleware: SemanticMiddleware) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_sharded_ingest_throughput_under_dashboard_load():
+def test_bench_sharded_ingest_throughput_under_dashboard_load(wall_clock_thresholds):
     """4 shards must sustain >= 2x the single-graph ingest+serve rate."""
     single = _build(shards=1)
     sharded = _build(shards=4)
@@ -227,7 +227,8 @@ def test_bench_sharded_ingest_throughput_under_dashboard_load():
     assert single_stats["query_planner"].result_hits == 0
     assert sharded_stats["query_planner"].result_hits > 0
     _assert_oracle_equivalent(single, sharded)
-    assert speedup >= 2.0
+    if wall_clock_thresholds:
+        assert speedup >= 2.0
 
 
 # --------------------------------------------------------------------- #
@@ -235,7 +236,7 @@ def test_bench_sharded_ingest_throughput_under_dashboard_load():
 # --------------------------------------------------------------------- #
 
 
-def test_bench_sharded_mixed_batch_reported():
+def test_bench_sharded_mixed_batch_reported(wall_clock_thresholds):
     """One 10k mixed batch: thread fan-out engaged, reported for
     transparency.  Cache survival cannot help here (every shard is
     touched), so a single-core host sees ~1x; the assert only guards
@@ -280,7 +281,8 @@ def test_bench_sharded_mixed_batch_reported():
         "ratio": ratio,
         "parallel_batches": sharded.statistics()["sharding"]["parallel_batches"],
     })
-    assert ratio > 0.4  # fan-out overhead must stay bounded on any host
+    if wall_clock_thresholds:
+        assert ratio > 0.4  # fan-out overhead must stay bounded on any host
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +312,7 @@ def _timed_ingest(middleware: SemanticMiddleware, stream) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_process_backend_ingest_scaling():
+def test_bench_process_backend_ingest_scaling(wall_clock_thresholds):
     """Inline vs process shard workers on one mixed stream at 1/2/4 shards.
 
     The process backend forks one worker per partition, so annotate+reason
@@ -362,6 +364,8 @@ def test_bench_process_backend_ingest_scaling():
     )
     _record_artifact("process_backend", payload)
 
+    if not wall_clock_thresholds:
+        return
     if cores >= 4:
         assert speedup >= 2.5
     else:

@@ -168,7 +168,7 @@ def _serve_suite(middleware: SemanticMiddleware):
 # --------------------------------------------------------------------- #
 
 
-def test_bench_standing_poll_cycle():
+def test_bench_standing_poll_cycle(wall_clock_thresholds):
     """Registered views must serve the final-size suite >= 5x faster."""
     standing = _build(shards=4)
     oracle = _build(shards=4)
@@ -234,6 +234,8 @@ def test_bench_standing_poll_cycle():
     assert oracle_stats.result_misses > 0
     assert view_stats["delta_updates"] > 0
     assert view_stats["full_refreshes"] == 0
+    if not wall_clock_thresholds:
+        return
     # serving from the materialized views must be ~flat as the graph
     # grows: the last round may not cost more than 3x the first, while the
     # re-evaluating oracle visibly grows

@@ -169,7 +169,7 @@ def _make_interned_generator():
 RECORDS = 10_000
 
 
-def test_bench_encoded_ingest_beats_object_tuples():
+def test_bench_encoded_ingest_beats_object_tuples(wall_clock_thresholds):
     """10k-record ingest must be >= 2x faster through the encoded path."""
 
     def baseline_run():
@@ -205,7 +205,8 @@ def test_bench_encoded_ingest_beats_object_tuples():
         "encoded_seconds": encoded_time,
         "speedup": speedup,
     })
-    assert speedup >= 2.0
+    if wall_clock_thresholds:
+        assert speedup >= 2.0
 
 
 def test_bench_encoded_ingest_throughput(benchmark):
@@ -233,7 +234,7 @@ def _join_workload() -> Graph:
     return graph
 
 
-def test_bench_encoded_join_beats_decoded():
+def test_bench_encoded_join_beats_decoded(wall_clock_thresholds):
     """The id-space join must be >= 2x faster than the decoded oracle.
 
     Both sides evaluate the *same* pattern order, so the ratio isolates
@@ -266,7 +267,8 @@ def test_bench_encoded_join_beats_decoded():
         "encoded_seconds": encoded_time,
         "speedup": speedup,
     })
-    assert speedup >= 2.0
+    if wall_clock_thresholds:
+        assert speedup >= 2.0
 
 
 # --------------------------------------------------------------------- #

@@ -44,7 +44,7 @@ def main() -> None:
     for row in result.skill_table():
         print("  " + ", ".join(f"{key}={value}" for key, value in row.items()))
 
-    print("\nReading the shapes (see EXPERIMENTS.md for the full discussion):")
+    print("\nReading the shapes:")
     skills = result.skills
     print(f"  - IK-only issues warnings earliest (lead {skills['indigenous'].mean_lead_time_days:.0f} d) "
           f"but with the most false alarms (FAR {skills['indigenous'].far:.2f}).")

@@ -62,8 +62,9 @@ class MiddlewareConfig:
     #: Cloud polling interval of the interface protocol layer.
     cloud_poll_interval: float = 900.0
     #: Number of per-area graph partitions in the ontology segment layer.
-    #: ``1`` keeps the original single shared graph; with more, records are
-    #: routed by district to per-shard graphs (own dictionary, reasoner and
+    #: With ``1`` ontology and annotations share one graph; with more,
+    #: records are routed by district to per-shard graphs (own dictionary,
+    #: reasoner and
     #: planner caches, ontology axioms replicated), batches fan out over a
     #: worker pool, and queries federate scatter-gather across partitions.
     shards: int = 1

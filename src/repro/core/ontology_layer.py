@@ -6,8 +6,9 @@ description module".  Concretely it owns
 
 * the unified ontology library and its graph,
 * the mediator (heterogeneity resolution),
-* the semantic annotator (SSN/DOLCE RDF annotation of observations),
-* the reasoner over the combined ontology + annotation graph,
+* the shards — each a graph with the semantic annotator (SSN/DOLCE RDF
+  annotation of observations) and the reasoner over ontology +
+  annotations — behind one shard backend,
 * the CEP engine as the detection-oriented inference engine, and
 * the semantic service registry.
 
@@ -24,15 +25,12 @@ CEP flush).
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cep.engine import CepEngine
 from repro.cep.event import DerivedEvent, Event
 from repro.cep.rules import CepRule
-from repro.core.annotation import SemanticAnnotator, next_annotation_index
 from repro.core.api import HealthReport, IngestReceipt, StandingViewHandle
 from repro.core.faults import (
     FaultPlan,
@@ -52,7 +50,7 @@ from repro.core.pipeline import (
     ReasonStage,
     ValidateStage,
 )
-from repro.core.services import SemanticService, ServiceRegistry
+from repro.core.services import SemanticService
 from repro.core.shard_backend import make_shard_backend, resolve_shard_backend
 from repro.ik.knowledge_base import IndigenousKnowledgeBase
 from repro.ontologies.environment import CANONICAL_PROPERTIES
@@ -61,8 +59,7 @@ from repro.ontologies.vocabulary import DROUGHT
 from repro.persistence.dead_letter import DeadLetterJournal
 from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, StorePersistence
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.reasoner import Reasoner
-from repro.semantics.sparql.evaluator import QueryResult, query
+from repro.semantics.sparql.evaluator import QueryResult
 from repro.semantics.sparql.planner import (
     PlannerStatistics,
     QueryPlanner,
@@ -97,7 +94,15 @@ class OntologyLayerStatistics:
 
 
 class OntologySegmentLayer:
-    """Mediation, annotation, reasoning and inference over one shared graph.
+    """Mediation, annotation, reasoning and inference over the shards.
+
+    The layer's annotation state lives in one or more
+    :class:`~repro.core.shard.Shard` objects (graph + annotator + reasoner
+    + standing views) behind a shard backend; everything here — the
+    pipeline stages, queries, views, statistics, health, durability — is
+    written once against that backend (see
+    :class:`~repro.core.shard_backend.ShardBackend`) and does not depend
+    on how many shards there are or where they execute.
 
     Parameters
     ----------
@@ -121,24 +126,26 @@ class OntologySegmentLayer:
         reasoner then tops up lazily on the first entailment query, which
         is just as incremental.
     shards:
-        Number of per-area graph partitions.  ``1`` (the default) keeps the
-        original single shared graph — the equivalence oracle of the
-        sharded path.  With more, annotations are routed by district into
-        per-shard graphs (each with its own term dictionary, indexes,
-        reasoner and planner caches, ontology axioms replicated), batch
-        annotation / reasoning fan out over a worker pool, and queries are
-        federated scatter-gather across the partitions.
+        Number of per-area graph partitions.  With ``1`` (the default) the
+        single shard adopts the library graph, so ontology and annotations
+        share one graph and queries go straight through its planner — the
+        oracle the federated layouts are tested against.  With more,
+        annotations are routed by district into per-shard graphs (each
+        with its own term dictionary, indexes, reasoner and planner caches,
+        ontology axioms replicated), batch annotation / reasoning fan out
+        across the touched shards, and queries are federated
+        scatter-gather across the partitions.
     shard_workers:
         Worker-thread pool size for the sharded batch fan-out (defaults to
         the shard count, capped at 8); ``0`` disables the pool and runs the
         per-shard work inline, which is the right call on single-core hosts.
         Only meaningful for the ``inline`` backend.
     shard_backend:
-        How the partitions execute: ``"inline"`` (per-shard graphs in this
-        process, thread-pool fan-out — the default and the equivalence
-        oracle) or ``"process"`` (one worker process per shard, see
-        :mod:`repro.core.shard_worker`).  ``None`` defers to the
-        ``REPRO_SHARD_BACKEND`` environment variable.  Ignored when
+        The transport that executes the shards: ``"inline"`` (in this
+        process, called directly, thread-pool fan-out — the default and
+        the equivalence oracle) or ``"process"`` (one worker process per
+        shard, see :mod:`repro.core.shard_worker`).  ``None`` defers to
+        the ``REPRO_SHARD_BACKEND`` environment variable.  Ignored when
         ``shards == 1``.
     data_dir:
         Directory for durable state (per-shard WAL + snapshots).  ``None``
@@ -203,7 +210,6 @@ class OntologySegmentLayer:
         fault_plan: Optional[FaultPlan] = None,
     ):
         self.library = library or build_unified_ontology(materialize=True)
-        self.graph = self.library.graph
         self.shards = max(1, int(shards))
         self.knowledge_base = knowledge_base or IndigenousKnowledgeBase()
         self.mediator = mediator or Mediator()
@@ -212,7 +218,7 @@ class OntologySegmentLayer:
         self.cep = cep_engine or CepEngine()
         self.statistics = OntologyLayerStatistics()
         self._publish_stage = PublishStage(self.knowledge_base, self.statistics)
-        #: Execution model of the partitions ("inline" for a single graph).
+        #: Transport executing the shards; one shard always runs in-process.
         self.shard_backend = (
             resolve_shard_backend(shard_backend) if self.shards > 1 else "inline"
         )
@@ -230,87 +236,35 @@ class OntologySegmentLayer:
         #: Records the pipeline gave up on: validation rejects and poison
         #: batches, on disk when a ``data_dir`` exists, in memory otherwise.
         self.dead_letter = DeadLetterJournal(data_dir)
-
         self.persistence: Optional[StorePersistence] = None
-        #: Whether this layer's graphs were rebuilt from durable state.
-        self.recovered = False
-        recovered_graphs: Optional[List[Graph]] = None
         if data_dir is not None:
             self.persistence = StorePersistence(
                 data_dir, fsync=wal_fsync, snapshot_interval=snapshot_interval
             )
-            if self.persistence.recoverable:
-                if self.shard_backend == "process":
-                    # the workers recover their own partitions; the parent
-                    # only validates that the store matches the layout
-                    self.persistence.validate_meta(
-                        expected_shards=self.shards, backend="process"
-                    )
-                else:
-                    recovered_graphs = self.persistence.recover_all(
-                        expected_shards=self.shards, backend=self.shard_backend
-                    )
-                self.recovered = True
 
-        if self.shards == 1:
-            # the original single-graph path: ontology axioms, IK catalogue,
-            # service descriptions and annotations all share one graph —
-            # the recovered graph replaces the freshly built library graph
-            if recovered_graphs is not None:
-                self.graph = recovered_graphs[0]
-            self._backend = None
-            self.store = None
-            self.router = None
-            self._executor = None
-            self.knowledge_base.materialize(self.graph)
-            self._annotation_counter = itertools.count(
-                next_annotation_index([self.graph]) if self.recovered else 1
-            )
-            self.annotator = SemanticAnnotator(
-                self.graph,
-                knowledge_base=self.knowledge_base,
-                counter=self._annotation_counter,
-            )
-            self.reasoner = Reasoner(self.graph)
-            self.annotators = [self.annotator]
-            self.reasoners = [self.reasoner]
-            self.services = ServiceRegistry(self.graph)
-            self._annotate_stage = AnnotateStage(
-                self.annotator, self.statistics, enabled=self.annotate_observations
-            )
-            self._reason_stage = ReasonStage(self.reasoner, enabled=reason_per_batch)
-        else:
-            # per-area partitions: the library graph stays the pristine
-            # axiom base (replicated into every shard); annotations, the IK
-            # catalogue and the service catalogue live in the shards.  The
-            # backend decides where the partitions execute — this process
-            # (inline) or one worker process each.
-            self._backend = make_shard_backend(
-                self.shard_backend,
-                self.library,
-                self.knowledge_base,
-                self.statistics,
-                self.shards,
-                annotate=self.annotate_observations,
-                reason_per_batch=reason_per_batch,
-                shard_workers=shard_workers,
-                persistence=self.persistence,
-                recovered=self.recovered,
-                recovered_graphs=recovered_graphs,
-                policy=self.fault_policy,
-                fault_plan=self.fault_plan,
-                dead_letter=self.dead_letter,
-            )
-            self.store = self._backend.store
-            self.router = self._backend.router
-            self._executor = self._backend.executor
-            self._annotation_counter = self._backend.counter
-            self.annotators = self._backend.annotators
-            self.reasoners = self._backend.reasoners
-            self.services = self._backend.services
-            self._annotate_stage = self._backend.annotate_stage
-            self._reason_stage = self._backend.reason_stage
-
+        # the backend builds the shards — or recovers them when the data
+        # dir already holds a persisted store
+        self._backend = make_shard_backend(
+            self.shard_backend,
+            self.library,
+            self.knowledge_base,
+            self.statistics,
+            self.shards,
+            shard_workers=shard_workers,
+            persistence=self.persistence,
+            policy=self.fault_policy,
+            fault_plan=self.fault_plan,
+            dead_letter=self.dead_letter,
+        )
+        #: Whether this layer's graphs were rebuilt from durable state.
+        self.recovered = self._backend.recovered
+        self.store = self._backend.store
+        self._executor = self._backend.executor
+        self.reasoners = self._backend.reasoners
+        self.services = self._backend.services
+        self._annotate_stage = AnnotateStage(
+            self._backend, self.statistics, enabled=self.annotate_observations
+        )
         self.pipeline = Pipeline(
             [
                 MediateStage(self.mediator),
@@ -318,55 +272,24 @@ class OntologySegmentLayer:
                     dead_letter=self.dead_letter, layer_statistics=self.statistics
                 ),
                 self._annotate_stage,
-                self._reason_stage,
+                ReasonStage(self._backend, enabled=reason_per_batch),
                 self._publish_stage,
                 CepStage(self.cep, self.statistics, per_record=self.cep_per_record),
             ]
         )
         self._register_default_services()
-
-        if self.persistence is not None and not self.recovered:
-            # start journalling only after the base content (axioms, IK
-            # catalogue, service descriptions) is in: it all lands in each
-            # shard's generation-0 snapshot instead of bloating the WAL
-            if self.shard_backend == "process":
-                # the workers attached their own WALs/snapshots; the parent
-                # only records the store layout
-                self.persistence.register_remote(self.shards, "process")
-            else:
-                self.persistence.attach_all(self.graphs, backend="inline")
-        if self.persistence is not None and self.shard_backend != "process":
-            # snapshots carry the standing views' materialized rows, so a
-            # restart can re-register them without re-materializing
-            for index, shard_persistence in enumerate(self.persistence.shards):
-                shard_persistence.view_source = self._make_view_exporter(
-                    self.graphs[index]
-                )
+        # only now, so the base content lands in the generation-0 snapshots
+        self._backend.attach_persistence()
         if self.recovered:
             if reason_per_batch:
                 # the pipeline expects closures to be current between
                 # batches; a lazy layer instead recomputes on first
                 # entailment query, which needs no eager rebuild
-                if self._backend is not None:
-                    self._backend.ensure_all_materialized()
-                else:
-                    self.reasoner.ensure_materialized()
+                self._backend.reason(range(self.shards))
             for registration in self.persistence.standing_registrations():
                 self.register_standing(
                     registration["text"], name=registration["name"]
                 )
-
-    @staticmethod
-    def _make_view_exporter(graph: Graph):
-        """Snapshot payload callback: the graph's views' current rows."""
-
-        def export() -> List:
-            out = []
-            for view in planner_for(graph).standing_views():
-                out.append((view.name, view.text, view.export_rows()))
-            return out
-
-        return export
 
     def _register_default_services(self) -> None:
         self.services.register(
@@ -423,9 +346,7 @@ class OntologySegmentLayer:
         """
         self.statistics.records_in += 1
         context = self.pipeline.run(IngestionContext(record))
-        if self.persistence is not None:
-            self.persistence.commit()
-            self.persistence.maybe_checkpoint()
+        self._backend.commit()
         return context.event if context.dropped_by is None else None
 
     def process_records(self, records: Iterable[ObservationRecord]) -> List[Event]:
@@ -448,12 +369,7 @@ class OntologySegmentLayer:
         contexts = [IngestionContext(record) for record in records]
         self.statistics.records_in += len(contexts)
         survivors = self.pipeline.run_batch(contexts)
-        if self.persistence is not None:
-            # the batch's durability point: one commit (fsync per policy)
-            # after the fan-out threads have joined, then roll any shard
-            # whose WAL outgrew the snapshot interval
-            self.persistence.commit()
-            self.persistence.maybe_checkpoint()
+        self._backend.commit()
         return [context.event for context in survivors]
 
     def ingest_batch(self, records: Iterable[ObservationRecord]) -> IngestReceipt:
@@ -466,21 +382,18 @@ class OntologySegmentLayer:
         poison batches the process backend gave up replaying.
         """
         dropped_before = self._dropped_total()
-        quarantined_before = self._quarantined_total()
+        quarantined_before = self._backend.quarantined
         events = self.process_batch(records)
         return IngestReceipt(
             events,
             rejected=self._dropped_total() - dropped_before,
-            quarantined=self._quarantined_total() - quarantined_before,
+            quarantined=self._backend.quarantined - quarantined_before,
         )
 
     def _dropped_total(self) -> int:
         return sum(
             stage.dropped for stage in self.pipeline.statistics.stages.values()
         )
-
-    def _quarantined_total(self) -> int:
-        return int(getattr(self._backend, "quarantined", 0) or 0)
 
     def subscribe(
         self, pattern: str, handler: Callable[[DerivedEvent], None]
@@ -506,117 +419,86 @@ class OntologySegmentLayer:
 
     @property
     def sharded(self) -> bool:
-        """Whether the layer runs per-area graph partitions."""
-        return self.store is not None
+        """Whether the layer runs more than one per-area graph partition."""
+        return self.shards > 1
+
+    @property
+    def graph(self) -> Graph:
+        """The one graph everything shares — or, under sharding, the
+        pristine ontology axiom base (annotations live in :attr:`graphs`)."""
+        return self.library.graph if self.sharded else self.store.graphs[0]
 
     @property
     def graphs(self) -> List[Graph]:
-        """The graphs holding annotations: the partitions, or ``[graph]``."""
-        if self.store is not None:
-            return self.store.graphs
-        return [self.graph]
+        """The graphs holding annotations, one per shard.
+
+        Live objects for in-process shards; the process backend ships full
+        dumps — correct but expensive, for tests and offline inspection.
+        """
+        return self.store.graphs
+
+    def versions(self) -> List[int]:
+        """Per-shard write counters: any change to a shard moves its entry.
+
+        Never crosses a process boundary, so it is safe to call from any
+        thread at any rate (the gateway keys its response cache on it).
+        """
+        return self._backend.versions()
 
     def triple_count(self) -> int:
-        """Resident triples (summed across partitions when sharded)."""
-        if self.store is not None:
-            return self.store.triple_count()
-        return len(self.graph)
+        """Resident triples, summed across the shards."""
+        return self.store.triple_count()
 
     def materialize_inferences(self, full: bool = False):
         """Run the OWL/RDFS reasoner over ontology + annotations.
 
         Incremental over the triples added since the last run;
-        ``full=True`` forces the from-scratch fixpoint.  Sharded layers
-        materialise every partition and return the list of traces.
+        ``full=True`` forces the from-scratch fixpoint.  Returns the one
+        trace of an unsharded layer, the list of per-shard traces otherwise.
         """
-        if self._backend is not None:
-            return self._backend.materialize_inferences(full=full)
-        return self.reasoner.materialize(full=full)
+        traces = self._backend.materialize_inferences(full=full)
+        return traces if self.sharded else traces[0]
 
     def query(self, text: str, entail: bool = False) -> QueryResult:
-        """Run a SPARQL-like query over the shared graph / the partitions.
+        """Run a SPARQL-like query over the shards.
 
-        Evaluation goes through the graph's shared cost-based planner
+        Evaluation goes through each graph's shared cost-based planner
         (join-order selection, filter pushdown, version-keyed plan / result
         caches), so repeated dashboard and DEWS queries over an unchanged
         graph skip parse, plan and evaluation entirely.  With ``entail``
-        the reasoner's closure is topped up (incrementally) first, so the
+        every shard's closure is topped up (incrementally) first — which
+        only costs work on the shards that actually changed — so the
         answers also reflect inferred triples.
 
-        A sharded layer scatter-gathers: the query is broadcast to every
-        partition (each served through its own planner and caches — an
-        untouched partition answers from its result cache) and the decoded
-        solutions are merged bag-exactly with the single-graph oracle for
-        in-contract queries; with ``entail`` every
-        partition's closure is topped up first, which only costs work on
-        the partitions that actually changed.
+        One shard answers straight from its planner.  More scatter-gather:
+        the query is broadcast to every partition (an untouched partition
+        answers from its result cache) and the decoded solutions are
+        merged bag-exactly with the one-shard answer for in-contract
+        queries.
         """
-        if self._backend is not None:
-            return self._backend.query(text, entail=entail)
-        if entail:
-            return self.reasoner.query(text)
-        return query(self.graph, text)
-
-    def _view_seeds(self, name: Optional[str], text: str) -> Optional[List]:
-        """Recovered snapshot rows for one view per shard, where still valid.
-
-        A stored row set seeds the view only while the partition is
-        byte-for-byte the snapshot's state: nothing replayed from the WAL
-        tail, nothing journalled since, and the stored query text matches
-        the registration.  Anything else re-materializes from the graph.
-        """
-        if self.persistence is None or not self.persistence.shards:
-            return None
-        seeds = []
-        for shard_persistence in self.persistence.shards:
-            wal = shard_persistence.wal
-            if wal is None or wal.records != 0:
-                seeds.append(None)
-            else:
-                seeds.append(
-                    shard_persistence.view_seed(
-                        name if name is not None else text, text
-                    )
-                )
-        return seeds
+        return self._backend.query(text, entail=entail)
 
     def register_standing(
         self, text: str, name: Optional[str] = None
     ) -> StandingViewHandle:
         """Register ``text`` as a delta-maintained standing view.
 
-        Single-graph layers register one view on the shared graph; sharded
-        layers register one per partition (a write to one district then
-        folds only that partition's delta in).  :meth:`query` serves the
-        registered query from the materialized views from then on.
-        Returns a :class:`~repro.core.api.StandingViewHandle` — still a
-        list of the underlying view objects (parent-side handles for the
-        process backend), plus the registration's identity.
+        One view per shard (a write to one district then folds only that
+        partition's delta in), seeded from the recovered snapshot's rows
+        where those are still valid.  :meth:`query` serves the registered
+        query from the materialized views from then on.  Returns a
+        :class:`~repro.core.api.StandingViewHandle` — still a list of the
+        underlying view objects (parent-side handles for the process
+        backend), plus the registration's identity.
         """
-        if self._backend is not None:
-            if self.shard_backend == "process":
-                # the workers consult their own recovered snapshots for seeds
-                views = self._backend.register_standing(text, name=name)
-            else:
-                views = self._backend.register_standing(
-                    text, name=name, seeds=self._view_seeds(name, text)
-                )
-        else:
-            seeds = self._view_seeds(name, text)
-            views = [
-                planner_for(self.graph).register_standing(
-                    self.graph, text, name=name, seed=seeds[0] if seeds else None
-                )
-            ]
+        views = self._backend.register_standing(text, name=name)
         if self.persistence is not None:
             self.persistence.record_standing(name, text)
         return StandingViewHandle(views, name=name, text=text)
 
     def standing_views(self) -> List:
-        """Every live standing view across the layer's graphs."""
-        if self._backend is not None:
-            return self._backend.standing_views()
-        return list(planner_for(self.graph).standing_views())
+        """Every live standing view across the shards."""
+        return self._backend.standing_views()
 
     def refresh_standing_views(self) -> None:
         """Fold pending graph deltas into every standing view.
@@ -627,16 +509,12 @@ class OntologySegmentLayer:
         process backend drains only the shards written since the last
         refresh and ships their deltas over the wire in one round.
         """
-        if self._backend is not None:
-            self._backend.refresh_views()
-            return
-        for view in self.standing_views():
-            view.refresh()
+        self._backend.refresh_views()
 
     @property
     def query_planner(self) -> QueryPlanner:
         """The shared planner for the single graph (``shards == 1`` only)."""
-        if self.store is not None:
+        if self.sharded:
             raise RuntimeError(
                 "a sharded layer has one planner per partition; "
                 "use planner_statistics() or planner_for(shard_graph)"
@@ -644,21 +522,8 @@ class OntologySegmentLayer:
         return planner_for(self.graph)
 
     def planner_statistics(self) -> PlannerStatistics:
-        """Aggregated planner / cache counters across the layer's graphs."""
-        if self._backend is not None:
-            return self._backend.planner_statistics()
-        totals = PlannerStatistics()
-        stats = planner_for(self.graph).statistics
-        totals.queries += stats.queries
-        totals.parses += stats.parses
-        totals.plans_built += stats.plans_built
-        totals.plan_hits += stats.plan_hits
-        totals.plan_invalidations += stats.plan_invalidations
-        totals.result_hits += stats.result_hits
-        totals.result_misses += stats.result_misses
-        totals.result_invalidations += stats.result_invalidations
-        totals.view_hits += stats.view_hits
-        return totals
+        """Aggregated planner / cache counters across the shards."""
+        return self._backend.planner_statistics()
 
     def standing_view_statistics(self) -> Dict[str, object]:
         """Observability snapshot of the maintained standing views."""
@@ -670,8 +535,8 @@ class OntologySegmentLayer:
         }
 
     def sharding_statistics(self) -> Optional[Dict[str, object]]:
-        """Partition layout counters, or ``None`` for a single-graph layer."""
-        if self.store is None:
+        """Partition layout counters, or ``None`` for an unsharded layer."""
+        if not self.sharded:
             return None
         return {
             "shards": self.store.num_shards,
@@ -682,60 +547,23 @@ class OntologySegmentLayer:
         }
 
     def shard_statistics(self) -> List[Dict[str, object]]:
-        """Per-partition health: size, queue depth, latency, pid, restarts.
-
-        A single-graph layer reports itself as one inline "shard" so
-        dashboards can consume the same shape everywhere.
-        """
-        if self._backend is not None:
-            return self._backend.shard_statistics()
-        return [
-            {
-                "shard": 0,
-                "triples": len(self.graph),
-                "queue_depth": 0,
-                "last_batch_latency": 0.0,
-                "pid": os.getpid(),
-                "restarts": 0,
-                "state": "up",
-                "breaker": "closed",
-                "trips": 0,
-                "pending_batches": 0,
-            }
-        ]
+        """Per-shard health: size, queue depth, latency, pid, restarts,
+        durable depth — the same shape on every layout, so dashboards
+        consume an unsharded layer as one in-process shard."""
+        return self._backend.shard_statistics()
 
     def health(self) -> HealthReport:
         """Supervision snapshot: per-shard state, breaker, dead-letter depth.
 
         Shard states are ``up`` / ``down`` / ``restarting`` / ``tripped``
-        (the latter two only for the process backend, the one place a
+        (the latter three only for the process backend, the one place a
         partition can fail independently of this interpreter).  With
         persistence enabled the report also carries the durable store's
         per-shard generation / WAL depth under ``"persistence"``.  The
         return is a :class:`~repro.core.api.HealthReport` — still a dict,
         JSON-safe as-is.
         """
-        if self._backend is not None:
-            report = dict(self._backend.health())
-        else:
-            report = {
-                "backend": "single",
-                "shards": [
-                    {
-                        "shard": 0,
-                        "state": "up",
-                        "breaker": "closed",
-                        "restarts": 0,
-                        "trips": 0,
-                        "pending_batches": 0,
-                        "pid": os.getpid(),
-                        "last_error": None,
-                    }
-                ],
-                "degraded_reads": False,
-                "rpc_timeout": None,
-                "quarantined_batches": 0,
-            }
+        report = dict(self._backend.health())
         report["validation_rejects"] = self.statistics.validation_rejects
         report["dead_letter_depth"] = len(self.dead_letter)
         report["dead_letter_path"] = (
@@ -750,19 +578,15 @@ class OntologySegmentLayer:
 
     def checkpoint(self) -> None:
         """Force a durable snapshot of every shard (no-op without persistence)."""
-        if self._backend is not None and self.shard_backend == "process":
-            self._backend.checkpoint_all()
-        elif self.persistence is not None:
-            self.persistence.checkpoint_all()
+        self._backend.checkpoint_all()
 
     def close(self) -> None:
         """Shut down the shard backend and the persistence layer (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._backend is not None:
-            self._backend.close()
-            self._executor = None
+        self._backend.close()
+        self._executor = None
         if self.persistence is not None:
             self.persistence.close()
 

@@ -11,12 +11,14 @@ Every raw record crossing the middleware passes the same six stages:
     windows — each reject is written to the dead-letter journal with a
     reason and counted in layer statistics).
 ``annotate``
-    SSN/DOLCE RDF annotation into the shared graph (optional).
+    SSN/DOLCE RDF annotation into the record's graph partition, through
+    the shard backend (optional).
 ``reason``
-    Incremental reasoning top-up over the freshly annotated triples
-    (optional): the graph's change tracker hands the reasoner exactly the
-    delta the ``annotate`` stage committed, so per-batch inference cost
-    tracks the batch size, not the accumulated graph.
+    Incremental reasoning top-up over the freshly annotated triples on the
+    partitions the batch touched (optional): each graph's change tracker
+    hands its reasoner exactly the delta the ``annotate`` stage committed,
+    so per-batch inference cost tracks the batch size, not the accumulated
+    graph.
 ``publish``
     Registers IK sightings with the knowledge base, builds the canonical
     :class:`~repro.cep.event.Event` and hands it to the application
@@ -36,13 +38,12 @@ of being interleaved with graph writes and broker publishes.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.cep.engine import CepEngine
 from repro.cep.event import DerivedEvent, Event
-from repro.core.annotation import SemanticAnnotator
+from repro.core.annotation import annotation_iri_for
 from repro.core.mediator import CanonicalObservation, Mediator
 from repro.streams.messages import ObservationRecord
 
@@ -229,63 +230,79 @@ class ValidateStage(Stage):
 
 
 class AnnotateStage(Stage):
-    """Write SSN/DOLCE RDF annotations into the shared graph."""
+    """Write SSN/DOLCE RDF annotations into the per-area graph partitions.
+
+    The stage draws the whole batch's annotation indexes from the layer's
+    shared counter in *arrival order*, splits the batch by owning shard and
+    hands the groups to the shard backend — which annotates each group
+    into its partition with one ``add_all`` (concurrently when the batch
+    spans partitions; partitions are single-writer).  Because indexes are
+    assigned before the fan-out, minted IRIs — and therefore graph content
+    — do not depend on the shard count, the transport or scheduling, and
+    each record's annotation IRI is recomputed here (a pure function of
+    observation + index) instead of being shipped back.
+    """
 
     name = "annotate"
 
-    def __init__(self, annotator: SemanticAnnotator, layer_statistics, enabled: bool = True):
-        self.annotator = annotator
+    def __init__(self, backend, layer_statistics, enabled: bool = True):
+        self.backend = backend
         self.layer_statistics = layer_statistics
         self.enabled = enabled
+        #: Batches that spanned more than one partition.
+        self.parallel_batches = 0
 
     def process(self, context: IngestionContext) -> bool:
-        if not self.enabled:
-            return True
-        result = self.annotator.annotate(context.observation)
-        self.layer_statistics.annotation_triples += result.triples_added
-        context.annotation_iri = result.observation_iri.value
+        self.process_batch([context])
         return True
 
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
-        if not self.enabled:
+        if not self.enabled or not contexts:
             return contexts
-        before = len(self.annotator.graph)
-        results = self.annotator.annotate_batch(
-            [context.observation for context in contexts]
-        )
-        for context, result in zip(contexts, results):
-            context.annotation_iri = result.observation_iri.value
-        self.layer_statistics.annotation_triples += len(self.annotator.graph) - before
+        backend = self.backend
+        counter = backend.counter
+        indexed = [(context.observation, next(counter)) for context in contexts]
+        groups = backend.router.split((pair[0].area, pair) for pair in indexed)
+        if len(groups) > 1:
+            self.parallel_batches += 1
+        self.layer_statistics.annotation_triples += backend.ingest(groups)
+        for context, (observation, index) in zip(contexts, indexed):
+            context.annotation_iri = annotation_iri_for(observation, index)
         return contexts
 
 
 class ReasonStage(Stage):
-    """Top up the reasoner's closure over the annotations just committed.
+    """Top up the closures of the partitions the record / batch touched.
 
     Runs after ``annotate`` so that published events and downstream
     queries observe the entailments (SSN/DOLCE typing, alignment axioms,
-    IK indicator rules) of the current record or batch.  The top-up is
-    incremental — ``ensure_materialized`` drains the graph's delta and
-    refires only the rules it can touch — and a no-op when annotation is
-    disabled or nothing changed.  Disabled by default: ingest-only
-    deployments that never query entailments skip the reasoning cost
-    entirely (the reasoner still tops up lazily on first query).
+    IK indicator rules) of the current record or batch.  Every partition
+    has its own reasoner, so a batch confined to a few areas tops up only
+    those closures — the others (and the query caches keyed on their graph
+    versions) survive untouched.  The top-up is incremental and a no-op
+    when nothing changed.  Disabled by default: ingest-only deployments
+    that never query entailments skip the reasoning cost entirely (the
+    reasoners still top up lazily on the first entailment query).
     """
 
     name = "reason"
 
-    def __init__(self, reasoner, enabled: bool = False):
-        self.reasoner = reasoner
+    def __init__(self, backend, enabled: bool = False):
+        self.backend = backend
         self.enabled = enabled
 
     def process(self, context: IngestionContext) -> bool:
-        if self.enabled:
-            self.reasoner.ensure_materialized()
+        self.process_batch([context])
         return True
 
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         if self.enabled and contexts:
-            self.reasoner.ensure_materialized()
+            backend = self.backend
+            backend.reason(
+                backend.router.shards_touched(
+                    context.observation.area for context in contexts
+                )
+            )
         return contexts
 
 
@@ -325,135 +342,6 @@ class PublishStage(Stage):
         if self.publisher is not None:
             self.publisher(context.event)
         return True
-
-
-class ShardedAnnotateStage(Stage):
-    """Annotate into per-area graph partitions, fanning batches out.
-
-    Drop-in replacement for :class:`AnnotateStage` when the ontology
-    segment layer runs sharded: each record's observation is routed by area
-    to its partition's annotator, and a batch is split into per-shard
-    sub-batches annotated concurrently on the layer's worker pool (each
-    worker commits one ``add_all`` into its own graph — partitions are
-    single-writer, so no graph is ever touched by two threads).
-
-    Minted IRIs stay identical to the single-graph path: the stage draws
-    the whole batch's annotation indexes from the shared counter in
-    *arrival order* before fanning out, so thread scheduling cannot leak
-    into graph content.  The mutable per-record contexts are safe to fill
-    from workers because every context belongs to exactly one sub-batch and
-    the stage joins all workers before returning.
-    """
-
-    name = "annotate"
-
-    def __init__(
-        self,
-        annotators,
-        router,
-        counter,
-        layer_statistics,
-        executor=None,
-        enabled: bool = True,
-    ):
-        self.annotators = list(annotators)
-        self.router = router
-        self.counter = counter
-        self.layer_statistics = layer_statistics
-        self.executor = executor
-        self.enabled = enabled
-        #: Batches that actually ran on more than one partition worker.
-        self.parallel_batches = 0
-        #: Wall-clock seconds each shard spent on its last sub-batch.
-        self.last_batch_latency: Dict[int, float] = {}
-
-    def process(self, context: IngestionContext) -> bool:
-        if not self.enabled:
-            return True
-        annotator = self.annotators[self.router.shard_for(context.observation.area)]
-        result = annotator.annotate(context.observation)
-        self.layer_statistics.annotation_triples += result.triples_added
-        context.annotation_iri = result.observation_iri.value
-        return True
-
-    def _annotate_shard(self, shard: int, pairs) -> int:
-        """Annotate one partition's sub-batch; returns the graph growth."""
-        started = time.perf_counter()
-        annotator = self.annotators[shard]
-        before = len(annotator.graph)
-        results = annotator.annotate_batch(
-            [context.observation for context, _ in pairs],
-            indexes=[index for _, index in pairs],
-        )
-        for (context, _), result in zip(pairs, results):
-            context.annotation_iri = result.observation_iri.value
-        self.last_batch_latency[shard] = time.perf_counter() - started
-        return len(annotator.graph) - before
-
-    def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
-        if not self.enabled or not contexts:
-            return contexts
-        counter = self.counter
-        indexed = [(context, next(counter)) for context in contexts]
-        groups = self.router.split(
-            (pair[0].observation.area, pair) for pair in indexed
-        )
-        if self.executor is not None and len(groups) > 1:
-            self.parallel_batches += 1
-            futures = [
-                self.executor.submit(self._annotate_shard, shard, pairs)
-                for shard, pairs in groups.items()
-            ]
-            grown = sum(future.result() for future in futures)
-        else:
-            grown = sum(
-                self._annotate_shard(shard, pairs) for shard, pairs in groups.items()
-            )
-        self.layer_statistics.annotation_triples += grown
-        return contexts
-
-
-class ShardedReasonStage(Stage):
-    """Top up only the partitions the current record / batch touched.
-
-    The sharded counterpart of :class:`ReasonStage`: every partition has
-    its own reasoner over its own graph, so a batch confined to a few areas
-    re-materialises only those partitions' closures — the other shards'
-    closures (and the query caches keyed on their graph versions) survive
-    untouched.  Touched shards top up concurrently on the worker pool.
-    """
-
-    name = "reason"
-
-    def __init__(self, reasoners, router, executor=None, enabled: bool = False):
-        self.reasoners = list(reasoners)
-        self.router = router
-        self.executor = executor
-        self.enabled = enabled
-
-    def process(self, context: IngestionContext) -> bool:
-        if self.enabled:
-            shard = self.router.shard_for(context.observation.area)
-            self.reasoners[shard].ensure_materialized()
-        return True
-
-    def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
-        if not self.enabled or not contexts:
-            return contexts
-        touched = self.router.shards_touched(
-            context.observation.area for context in contexts
-        )
-        if self.executor is not None and len(touched) > 1:
-            futures = [
-                self.executor.submit(self.reasoners[shard].ensure_materialized)
-                for shard in touched
-            ]
-            for future in futures:
-                future.result()
-        else:
-            for shard in touched:
-                self.reasoners[shard].ensure_materialized()
-        return contexts
 
 
 class CepStage(Stage):

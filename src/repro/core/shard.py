@@ -1,0 +1,170 @@
+"""One partition of the ontology segment layer's state.
+
+A :class:`Shard` is the unit both shard transports execute: a ``Graph``
+with the :class:`~repro.core.annotation.SemanticAnnotator` that writes
+into it, the :class:`~repro.semantics.reasoner.Reasoner` that closes it,
+the standing views registered on it and — when the layer is durable — the
+:class:`~repro.persistence.store.ShardPersistence` segment behind it.
+
+:class:`~repro.core.shard_backend.InlineShardBackend` holds N shards and
+calls these methods directly; a :mod:`~repro.core.shard_worker` process
+holds one and calls the same methods after decoding a request.  *When*
+journalled writes are committed is the transport's decision (once per
+batch in-process, once per op in a worker), so nothing here fsyncs.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import asdict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.core.annotation import SemanticAnnotator
+from repro.core.mediator import CanonicalObservation
+from repro.persistence.store import ShardPersistence
+from repro.semantics.rdf.graph import Graph
+from repro.semantics.rdf.sharding import register_shard_view
+from repro.semantics.rdf.term import Term
+from repro.semantics.rdf.triple import Triple
+from repro.semantics.reasoner import Reasoner
+from repro.semantics.rules import InferenceTrace
+from repro.semantics.sparql.bindings import Bindings
+from repro.semantics.sparql.planner import (
+    federated_partition_solutions,
+    planner_for,
+)
+from repro.semantics.sparql.views import StandingView
+
+
+class Shard:
+    """Graph + annotator + reasoner + standing views of one partition."""
+
+    def __init__(
+        self,
+        graph: Graph,
+        knowledge_base,
+        persistence: Optional[ShardPersistence] = None,
+    ):
+        self.graph = graph
+        # annotation indexes always arrive pre-assigned from the layer's
+        # shared arrival-order counter, so this annotator's own counter is
+        # never consumed
+        self.annotator = SemanticAnnotator(graph, knowledge_base=knowledge_base)
+        self.reasoner = Reasoner(graph)
+        #: registration text -> StandingView
+        self.views: Dict[str, StandingView] = {}
+        self.persistence: Optional[ShardPersistence] = None
+        if persistence is not None:
+            self.attach(persistence)
+
+    def attach(self, persistence: ShardPersistence) -> None:
+        """Adopt the durable segment journalling this shard's graph.
+
+        Snapshots then carry the standing views' materialized rows, so a
+        restart can re-register them without re-materializing.
+        """
+        self.persistence = persistence
+        persistence.view_source = self._export_views
+
+    def _export_views(self) -> List[Tuple[str, str, dict]]:
+        """Snapshot payload: every view's current rows (refreshed first)."""
+        return [
+            (view.name, text, view.export_rows())
+            for text, view in self.views.items()
+        ]
+
+    # -- writes --------------------------------------------------------- #
+
+    def ingest(self, pairs: Sequence[Tuple[CanonicalObservation, int]]) -> int:
+        """Annotate ``(observation, index)`` pairs; returns the graph growth."""
+        before = len(self.graph)
+        self.annotator.annotate_batch(
+            [observation for observation, _ in pairs],
+            indexes=[index for _, index in pairs],
+        )
+        return len(self.graph) - before
+
+    def replicate(self, triples: Iterable[Triple]) -> int:
+        """Add replicated content (service descriptions, ontology deltas)."""
+        return self.graph.add_all(triples)
+
+    def retract_subject(self, subject: Term) -> int:
+        return self.graph.remove_matching(subject=subject)
+
+    # -- reasoning and querying ----------------------------------------- #
+
+    def reason(self) -> None:
+        """Top the closure up over whatever changed since the last run."""
+        self.reasoner.ensure_materialized()
+
+    def materialize(self, full: bool = False) -> InferenceTrace:
+        return self.reasoner.materialize(full=full)
+
+    def query_ask(self, text: str, entail: bool = False) -> bool:
+        if entail:
+            self.reason()
+        return planner_for(self.graph).query(self.graph, text).ask
+
+    def query_full(self, text: str, entail: bool = False) -> Tuple[List, List[Bindings]]:
+        """This partition's full (pre-projection) solutions to a SELECT."""
+        if entail:
+            self.reason()
+        return federated_partition_solutions(self.graph, text)
+
+    # -- standing views -------------------------------------------------- #
+
+    def register_view(
+        self, text: str, name: Optional[str] = None, federated: bool = True
+    ) -> StandingView:
+        """Register (idempotently) this partition's view for ``text``.
+
+        Rows stored in the recovered snapshot seed the view only while the
+        partition is byte-for-byte the snapshot's state: nothing replayed
+        from the WAL tail, nothing journalled since, and the stored query
+        text matches the registration.  Anything else re-materializes.
+        """
+        view = self.views.get(text)
+        if view is None:
+            seed = None
+            persistence = self.persistence
+            if (
+                persistence is not None
+                and persistence.wal is not None
+                and persistence.wal.records == 0
+            ):
+                seed = persistence.view_seed(name if name is not None else text, text)
+            view = self.views[text] = register_shard_view(
+                self.graph, text, name=name, federated=federated, seed=seed
+            )
+        return view
+
+    def refresh_views(self) -> None:
+        """Fold pending graph deltas into every view (notifies subscribers)."""
+        for view in self.views.values():
+            view.refresh()
+
+    def view_rows(self, text: str) -> Tuple[List, List[Bindings]]:
+        view = self.views[text]
+        return view._full_variables, view.rows()
+
+    # -- observability --------------------------------------------------- #
+
+    def stats(self) -> dict:
+        """Size, durable-segment depth, planner and view counters."""
+        wal = self.persistence.wal if self.persistence is not None else None
+        return {
+            "pid": os.getpid(),
+            "triples": len(self.graph),
+            "version": self.graph.version,
+            "wal_records": wal.records if wal is not None else 0,
+            "generation": (
+                self.persistence.generation if self.persistence is not None else 0
+            ),
+            "planner": asdict(planner_for(self.graph).statistics),
+            "views": [
+                dict(view.stats(), text=text) for text, view in self.views.items()
+            ],
+        }
+
+    def __repr__(self) -> str:
+        return f"<Shard triples={len(self.graph)} views={len(self.views)}>"

@@ -1,52 +1,45 @@
-"""Pluggable execution backends for the sharded ontology segment layer.
+"""The two transports that execute the ontology segment layer's shards.
 
 The layer partitions its annotation state by area (see
-:mod:`repro.core.shard_router`); *how* those partitions execute is a
-backend decision hidden behind one interface:
+:mod:`repro.core.shard_router`) into :class:`~repro.core.shard.Shard`
+objects — one for an unsharded layer, N for a sharded one.  *Where* those
+shards execute is one declarative choice:
 
 ``inline``
-    The original in-process path — every partition is a ``Graph`` +
-    ``Reasoner`` in this interpreter, batches fan out over a thread pool.
-    Construction and behaviour are byte-identical to the pre-backend
-    layer, which makes this backend the equivalence oracle for the
-    others.
+    :class:`InlineShardBackend` holds the shards in this interpreter and
+    calls them directly; a batch that spans partitions fans out over a
+    thread pool, a one-shard store runs without one.  Its graphs and
+    reasoners are live objects (``layer.graphs`` / ``layer.reasoners``).
 
 ``process``
-    One worker *process* per partition
-    (:class:`repro.core.shard_worker.ProcessShardBackend`): each worker
-    owns its graph, reasoner, planner caches, standing views and WAL
-    generation outright, so ingest and reasoning scale across cores
-    instead of serialising on the GIL.
+    :class:`repro.core.shard_worker.ProcessShardBackend` forks one worker
+    process per shard and calls the same :class:`~repro.core.shard.Shard`
+    methods through a pipe, so ingest and reasoning scale across cores
+    instead of serialising on the GIL; the supervisor (deadlines, restarts,
+    circuit breaker, quarantine) wraps that transport.
 
-Backends expose the same surface — the stage objects the pipeline runs,
-the shared annotation counter, the service registry, federated
-``query``/``register_standing``/``refresh_views``, statistics — so the
-layer code does not branch on the execution model beyond construction.
+Both expose the surface documented on :class:`ShardBackend`, so neither
+the layer nor the pipeline stages know which one they are talking to.
 
 The default is ``inline``; the ``REPRO_SHARD_BACKEND`` environment
 variable (or the explicit ``shard_backend`` configuration knob, which
-wins) selects another.
+wins) selects the other.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.annotation import SemanticAnnotator, next_annotation_index
+from repro.core.annotation import next_annotation_index
 from repro.core.faults import ShardUnavailableError  # noqa: F401 - re-export
-from repro.core.pipeline import ShardedAnnotateStage, ShardedReasonStage
 from repro.core.services import ServiceRegistry
-from repro.semantics.rdf.graph import Graph
+from repro.core.shard import Shard
 from repro.semantics.rdf.sharding import ShardedGraphStore
-from repro.semantics.reasoner import Reasoner
-from repro.semantics.sparql.planner import (
-    PlannerStatistics,
-    federated_query,
-    planner_for,
-)
+from repro.semantics.sparql.planner import PlannerStatistics, federated_query
 
 #: Environment variable selecting the default shard backend.
 SHARD_BACKEND_ENV = "REPRO_SHARD_BACKEND"
@@ -67,35 +60,93 @@ def resolve_shard_backend(explicit: Optional[str] = None) -> str:
     return backend
 
 
-class InlineShardBackend:
-    """The in-process sharding path: per-partition graphs in this interpreter.
+class ShardBackend:
+    """What the layer and the pipeline stages call on either transport.
 
-    Construction mirrors the pre-backend sharded layer exactly — same
-    store, replication, counter seeding, annotator/reasoner wiring and
-    stage objects — so layers built on this backend behave (and journal)
-    byte-identically to the historical code.
+    Attributes: ``num_shards``, ``router``, ``counter`` (the shared
+    arrival-order annotation index allocator), ``store`` (a
+    :class:`~repro.semantics.rdf.sharding.ShardedGraphStore`-shaped view
+    of the partitions), ``services``, ``reasoners``, ``quarantined``.
+
+    Transport-specific methods: ``ingest(groups) -> grown`` (``shard ->
+    [(observation, index)]``), ``reason(shards)``, ``query(text, entail)``,
+    ``materialize_inferences(full)``, ``versions()``,
+    ``register_standing`` / ``standing_views`` / ``refresh_views``,
+    ``attach_persistence`` / ``commit`` / ``checkpoint_all`` / ``close``,
+    ``shard_stats()`` (every shard's :meth:`Shard.stats
+    <repro.core.shard.Shard.stats>`), ``health()`` and ``_load(shard)``.
+    The aggregations below are written once over those.
     """
 
-    kind = "inline"
+    num_shards = 0
+    #: thread pool for in-process fan-out, where the transport has one
+    executor = None
+    #: poison batches written to the dead-letter journal this session
+    quarantined = 0
+
+    def planner_statistics(self) -> PlannerStatistics:
+        """Planner / cache counters summed across the shards."""
+        totals = PlannerStatistics()
+        for info in self.shard_stats():
+            totals += PlannerStatistics(**info["planner"])
+        return totals
+
+    def shard_statistics(self) -> List[dict]:
+        """Per-shard size, load, durable depth and supervision state."""
+        # stats first: asking a dead worker is what restarts it, and the
+        # supervision state read afterwards should say so
+        stats = self.shard_stats()
+        rows = []
+        for entry, info in zip(self.health()["shards"], stats):
+            queue_depth, last_batch_latency = self._load(entry["shard"])
+            rows.append(
+                {
+                    "shard": entry["shard"],
+                    "triples": info["triples"],
+                    "queue_depth": queue_depth,
+                    "last_batch_latency": last_batch_latency,
+                    "pid": entry["pid"],
+                    "restarts": entry["restarts"],
+                    "wal_records": info["wal_records"],
+                    "generation": info["generation"],
+                    "state": entry["state"],
+                    "breaker": entry["breaker"],
+                    "trips": entry["trips"],
+                    "pending_batches": entry["pending_batches"],
+                }
+            )
+        return rows
+
+
+class InlineShardBackend(ShardBackend):
+    """N shards in this interpreter, called directly.
+
+    A one-shard store *adopts* the library graph — ontology axioms, IK
+    catalogue, service descriptions and annotations share one graph, and
+    queries go straight through its planner with no merge step, which is
+    what makes it the oracle the federated layouts are compared against.
+    With more shards the library graph stays the pristine axiom base,
+    replicated into every partition.
+    """
 
     def __init__(
         self,
         library,
         knowledge_base,
-        statistics,
         shards: int,
-        annotate: bool = True,
-        reason_per_batch: bool = False,
         shard_workers: Optional[int] = None,
-        recovered_graphs: Optional[List[Graph]] = None,
+        persistence=None,
     ):
-        self.library = library
-        self.knowledge_base = knowledge_base
         self.num_shards = shards
-        if recovered_graphs is not None:
+        self.persistence = persistence
+        self.recovered = persistence is not None and persistence.recoverable
+        if self.recovered:
             # the recovered partitions already hold the replicated axioms
             # (they were in each shard's gen-0 snapshot)
-            self.store = ShardedGraphStore(shards, graphs=recovered_graphs)
+            graphs = persistence.recover_all(expected_shards=shards, backend="inline")
+            self.store = ShardedGraphStore(shards, graphs=graphs)
+        elif shards == 1:
+            self.store = ShardedGraphStore(1, graphs=[library.graph])
         else:
             self.store = ShardedGraphStore(shards, base_graph=library.graph)
         self.router = self.store.router
@@ -108,115 +159,88 @@ class InlineShardBackend:
             ThreadPoolExecutor(
                 max_workers=shard_workers, thread_name_prefix="shard-worker"
             )
-            if shard_workers > 0
+            if shard_workers > 0 and shards > 1
             else None
         )
         self.counter = itertools.count(
-            next_annotation_index(self.store.graphs)
-            if recovered_graphs is not None
-            else 1
+            next_annotation_index(self.store.graphs) if self.recovered else 1
         )
-        self.annotators = [
-            SemanticAnnotator(
-                shard_graph, knowledge_base=knowledge_base, counter=self.counter
-            )
-            for shard_graph in self.store.graphs
-        ]
-        self.reasoners = [Reasoner(shard_graph) for shard_graph in self.store.graphs]
+        self.shards = [Shard(graph, knowledge_base) for graph in self.store.graphs]
+        self.reasoners = [shard.reasoner for shard in self.shards]
         self.services = ServiceRegistry(self.store.graphs)
-        self.annotate_stage = ShardedAnnotateStage(
-            self.annotators,
-            self.router,
-            self.counter,
-            statistics,
-            executor=self.executor,
-            enabled=annotate,
-        )
-        self.reason_stage = ShardedReasonStage(
-            self.reasoners,
-            self.router,
-            executor=self.executor,
-            enabled=reason_per_batch,
-        )
+        #: Wall-clock seconds each shard spent on its last ingest group.
+        self.last_batch_latency: Dict[int, float] = {}
+
+    def _fan_out(self, call, items: list) -> list:
+        """``call(*item)`` per item — on the pool when several shards work."""
+        if self.executor is not None and len(items) > 1:
+            futures = [self.executor.submit(call, *item) for item in items]
+            return [future.result() for future in futures]
+        return [call(*item) for item in items]
 
     # -------------------------------------------------------------- #
-    # querying and reasoning
+    # ingest, reasoning, querying
     # -------------------------------------------------------------- #
+
+    def _ingest_shard(self, shard: int, pairs) -> int:
+        started = time.perf_counter()
+        grown = self.shards[shard].ingest(pairs)
+        self.last_batch_latency[shard] = time.perf_counter() - started
+        return grown
+
+    def ingest(self, groups: Dict[int, List[Tuple]]) -> int:
+        return sum(self._fan_out(self._ingest_shard, list(groups.items())))
+
+    def reason(self, shards: Iterable[int]) -> None:
+        self._fan_out(Shard.reason, [(self.shards[shard],) for shard in shards])
 
     def query(self, text: str, entail: bool = False):
         if entail:
-            self.ensure_all_materialized()
+            for shard in self.shards:
+                shard.reason()
         return federated_query(self.store.graphs, text)
 
     def materialize_inferences(self, full: bool = False):
-        return [reasoner.materialize(full=full) for reasoner in self.reasoners]
+        return [shard.materialize(full=full) for shard in self.shards]
 
-    def ensure_all_materialized(self) -> None:
-        for reasoner in self.reasoners:
-            reasoner.ensure_materialized()
+    def versions(self) -> List[int]:
+        return self.store.versions()
 
     # -------------------------------------------------------------- #
     # standing views
     # -------------------------------------------------------------- #
 
-    def register_standing(self, text: str, name: Optional[str] = None, seeds=None):
-        return self.store.register_standing(text, name=name, seeds=seeds)
+    def register_standing(self, text: str, name: Optional[str] = None):
+        federated = self.num_shards > 1
+        return [
+            shard.register_view(text, name=name, federated=federated)
+            for shard in self.shards
+        ]
 
     def standing_views(self) -> List:
-        views: List = []
-        for shard_graph in self.store.graphs:
-            views.extend(planner_for(shard_graph).standing_views())
-        return views
+        return [view for shard in self.shards for view in shard.views.values()]
 
     def refresh_views(self) -> None:
-        for view in self.standing_views():
-            view.refresh()
+        for shard in self.shards:
+            shard.refresh_views()
 
     # -------------------------------------------------------------- #
     # observability
     # -------------------------------------------------------------- #
 
-    def planner_statistics(self) -> PlannerStatistics:
-        totals = PlannerStatistics()
-        for shard_graph in self.store.graphs:
-            stats = planner_for(shard_graph).statistics
-            totals.queries += stats.queries
-            totals.parses += stats.parses
-            totals.plans_built += stats.plans_built
-            totals.plan_hits += stats.plan_hits
-            totals.plan_invalidations += stats.plan_invalidations
-            totals.result_hits += stats.result_hits
-            totals.result_misses += stats.result_misses
-            totals.result_invalidations += stats.result_invalidations
-            totals.view_hits += stats.view_hits
-        return totals
+    def shard_stats(self) -> List[dict]:
+        return [shard.stats() for shard in self.shards]
 
-    def shard_statistics(self) -> List[dict]:
-        pid = os.getpid()
-        return [
-            {
-                "shard": index,
-                "triples": len(shard_graph),
-                "queue_depth": 0,
-                "last_batch_latency": self.annotate_stage.last_batch_latency.get(
-                    index, 0.0
-                ),
-                "pid": pid,
-                "restarts": 0,
-                "state": "up",
-                "breaker": "closed",
-                "trips": 0,
-                "pending_batches": 0,
-            }
-            for index, shard_graph in enumerate(self.store.graphs)
-        ]
+    def _load(self, shard: int) -> Tuple[int, float]:
+        return 0, self.last_batch_latency.get(shard, 0.0)
 
     def health(self) -> dict:
-        """Same shape as the process backend's; inline shards cannot fail
-        independently of this interpreter, so everything reports up."""
+        """Same shape as the process backend's; in-process shards cannot fail
+        independently of this interpreter, so everything reports up (and a
+        one-shard store labels itself ``single``)."""
         pid = os.getpid()
         return {
-            "backend": "inline",
+            "backend": "inline" if self.num_shards > 1 else "single",
             "shards": [
                 {
                     "shard": index,
@@ -236,18 +260,39 @@ class InlineShardBackend:
         }
 
     # -------------------------------------------------------------- #
-    # lifecycle
+    # durability and lifecycle
     # -------------------------------------------------------------- #
 
+    def attach_persistence(self) -> None:
+        """Start journalling a fresh store; give each shard its segment.
+
+        Called once the base content (axioms, IK catalogue, service
+        descriptions) is in, so it all lands in each shard's generation-0
+        snapshot instead of bloating the WAL.
+        """
+        if self.persistence is None:
+            return
+        if not self.recovered:
+            self.persistence.attach_all(self.store.graphs, backend="inline")
+        for shard, segment in zip(self.shards, self.persistence.shards):
+            shard.attach(segment)
+
+    def commit(self) -> None:
+        """The batch's durability point: one commit (fsync per policy) after
+        the fan-out threads have joined, then roll any shard whose WAL
+        outgrew the snapshot interval."""
+        if self.persistence is not None:
+            self.persistence.commit()
+            self.persistence.maybe_checkpoint()
+
     def checkpoint_all(self) -> None:
-        """Snapshotting is owned by the layer's persistence for inline shards."""
+        if self.persistence is not None:
+            self.persistence.checkpoint_all()
 
     def close(self) -> None:
         if self.executor is not None:
             self.executor.shutdown(wait=True)
             self.executor = None
-            self.annotate_stage.executor = None
-            self.reason_stage.executor = None
 
     def __repr__(self) -> str:
         return f"<InlineShardBackend shards={self.num_shards}>"
@@ -259,16 +304,12 @@ def make_shard_backend(
     knowledge_base,
     statistics,
     shards: int,
-    annotate: bool = True,
-    reason_per_batch: bool = False,
     shard_workers: Optional[int] = None,
     persistence=None,
-    recovered: bool = False,
-    recovered_graphs: Optional[List[Graph]] = None,
     policy=None,
     fault_plan=None,
     dead_letter=None,
-):
+) -> ShardBackend:
     """Build the configured backend (lazily importing the process one)."""
     if kind == "process":
         from repro.core.shard_worker import ProcessShardBackend
@@ -278,10 +319,7 @@ def make_shard_backend(
             knowledge_base,
             statistics,
             shards,
-            annotate=annotate,
-            reason_per_batch=reason_per_batch,
             persistence=persistence,
-            recovered=recovered,
             policy=policy,
             fault_plan=fault_plan,
             dead_letter=dead_letter,
@@ -289,10 +327,7 @@ def make_shard_backend(
     return InlineShardBackend(
         library,
         knowledge_base,
-        statistics,
         shards,
-        annotate=annotate,
-        reason_per_batch=reason_per_batch,
         shard_workers=shard_workers,
-        recovered_graphs=recovered_graphs,
+        persistence=persistence,
     )

@@ -1,11 +1,13 @@
 """Process-based shard workers: one OS process per graph partition.
 
 The :class:`ProcessShardBackend` forks one worker per shard.  Each worker
-owns its partition outright — the ``Graph``, its ``Reasoner`` and planner
-caches, every standing view registered on it, and (when the layer is
-durable) its own :class:`~repro.persistence.store.ShardPersistence`
-WAL/snapshot generation.  The parent keeps only the router, the shared
-arrival-order annotation counter, and one duplex pipe per worker.
+owns one :class:`~repro.core.shard.Shard` outright — the ``Graph``, its
+``Reasoner`` and planner caches, every standing view registered on it, and
+(when the layer is durable) its own
+:class:`~repro.persistence.store.ShardPersistence` WAL/snapshot
+generation — and runs the same ``Shard`` methods the inline backend calls
+directly.  The parent keeps only the router, the shared arrival-order
+annotation counter, and one duplex pipe per worker.
 
 Requests travel as ``opcode + body`` messages in the WAL/snapshot codec
 (:mod:`repro.core.shard_wire`); the pipe length-prefixes each message.
@@ -55,11 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from dataclasses import asdict
 
-from repro.core.annotation import (
-    SemanticAnnotator,
-    annotation_iri_for,
-    next_annotation_index,
-)
+from repro.core.annotation import next_annotation_index
 from repro.core.faults import (
     FaultInjector,
     FaultPlan,
@@ -67,8 +65,9 @@ from repro.core.faults import (
     ShardBreaker,
     ShardUnavailableError,
 )
-from repro.core.pipeline import Stage
 from repro.core.services import ServiceRegistry
+from repro.core.shard import Shard
+from repro.core.shard_backend import ShardBackend
 from repro.core.shard_router import ShardRouter
 from repro.core.shard_wire import (
     OP_CHECKPOINT,
@@ -116,16 +115,14 @@ from repro.persistence.snapshot import (
 )
 from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, ShardPersistence
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.sharding import ShardedGraphStore, register_shard_view
+from repro.semantics.rdf.sharding import ShardedGraphStore
 from repro.semantics.rdf.term import Term
 from repro.semantics.rdf.triple import Triple
-from repro.semantics.reasoner import Reasoner
 from repro.semantics.rules import InferenceTrace
 from repro.semantics.sparql.bindings import EMPTY_BINDINGS
 from repro.semantics.sparql.evaluator import QueryResult
 from repro.semantics.sparql.planner import (
     PlannerStatistics,
-    federated_partition_solutions,
     merge_federated_solutions,
     planner_for,
 )
@@ -137,36 +134,29 @@ from repro.semantics.sparql.views import ViewDelta
 # ------------------------------------------------------------------ #
 
 
-class _ShardWorker:
-    """Request dispatcher running inside one worker process."""
+def _encode_count(count: int) -> bytes:
+    reply = bytearray()
+    write_uvarint(reply, count)
+    return bytes(reply)
 
-    def __init__(
-        self,
-        graph: Graph,
-        knowledge_base,
-        persistence: Optional[ShardPersistence],
-        snapshot_interval: int,
-        recovered: bool,
-    ):
-        self.graph = graph
-        self.knowledge_base = knowledge_base
-        self.persistence = persistence
+
+class _ShardWorker:
+    """Wire adapter around the one :class:`Shard` a worker process owns.
+
+    Every handler is decode → :class:`Shard` method → commit → encode; the
+    per-op commit is this transport's durability point (the parent cannot
+    fsync a log it does not own).
+    """
+
+    def __init__(self, shard: Shard, snapshot_interval: int, recovered: bool):
+        self.shard = shard
+        self.persistence = shard.persistence
         self.snapshot_interval = snapshot_interval
         self.recovered = recovered
-        # indexes always arrive pre-assigned from the parent's counter, so
-        # this annotator's own counter is never consumed
-        self.annotator = SemanticAnnotator(graph, knowledge_base=knowledge_base)
-        self.reasoner = Reasoner(graph)
-        #: registration text -> StandingView
-        self.views: Dict[str, object] = {}
         #: (text, ViewDelta) buffered for the next REFRESH_VIEWS drain —
         #: deltas can also surface implicitly (a query or checkpoint
         #: refreshing a view), and the parent must still see them
         self.pending: List[Tuple[str, ViewDelta]] = []
-        if persistence is not None:
-            persistence.view_source = self._export_views
-
-    # -- durability ----------------------------------------------------- #
 
     def _commit(self) -> None:
         if self.persistence is None:
@@ -175,13 +165,6 @@ class _ShardWorker:
         wal = self.persistence.wal
         if wal is not None and wal.records >= self.snapshot_interval:
             self.persistence.checkpoint()
-
-    def _export_views(self) -> List[Tuple[str, str, dict]]:
-        """Snapshot payload: every view's current rows (refreshed first)."""
-        return [
-            (view.name, text, view.export_rows())
-            for text, view in self.views.items()
-        ]
 
     # -- dispatch ------------------------------------------------------- #
 
@@ -193,73 +176,48 @@ class _ShardWorker:
 
     def _op_ingest(self, body: bytes) -> bytes:
         pairs, _reason = decode_ingest(body)
-        before = len(self.graph)
-        self.annotator.annotate_batch(
-            [obs for obs, _ in pairs], indexes=[index for _, index in pairs]
-        )
-        grown = len(self.graph) - before
+        grown = self.shard.ingest(pairs)
         self._commit()
-        reply = bytearray()
-        write_uvarint(reply, grown)
-        return bytes(reply)
+        return _encode_count(grown)
 
     def _op_reason(self, body: bytes) -> bytes:
-        self.reasoner.ensure_materialized()
+        self.shard.reason()
         self._commit()
         return b""
 
-    def _decode_query(self, body: bytes) -> str:
-        entail = bool(body[0])
+    def _decode_query(self, body: bytes) -> Tuple[str, bool]:
         text, _ = decode_string(body, 1)
-        if entail:
-            self.reasoner.ensure_materialized()
-            self._commit()
-        return text
+        return text, bool(body[0])
 
     def _op_query_ask(self, body: bytes) -> bytes:
-        text = self._decode_query(body)
-        result = planner_for(self.graph).query(self.graph, text)
-        return bytes([1 if result.ask else 0])
+        text, entail = self._decode_query(body)
+        ask = self.shard.query_ask(text, entail)
+        if entail:
+            self._commit()
+        return bytes([1 if ask else 0])
 
     def _op_query_full(self, body: bytes) -> bytes:
-        text = self._decode_query(body)
-        variables, solutions = federated_partition_solutions(self.graph, text)
+        text, entail = self._decode_query(body)
+        variables, solutions = self.shard.query_full(text, entail)
+        if entail:
+            self._commit()
         return encode_query_result(variables, solutions)
 
     def _op_register_view(self, body: bytes) -> bytes:
         spec = decode_json(body)
         text = spec["text"]
-        view = self.views.get(text)
-        if view is None:
-            name = spec["name"]
-            seed = None
-            if (
-                self.persistence is not None
-                and self.persistence.wal is not None
-                and self.persistence.wal.records == 0
-            ):
-                # rows from the recovered snapshot are only valid while
-                # nothing has mutated the graph since it was written
-                seed = self.persistence.view_seed(
-                    name if name is not None else text, text
-                )
-            view = register_shard_view(
-                self.graph,
-                text,
-                name=name,
-                federated=bool(spec["federated"]),
-                seed=seed,
-            )
-            self.views[text] = view
+        fresh = text not in self.shard.views
+        view = self.shard.register_view(
+            text, name=spec["name"], federated=bool(spec["federated"])
+        )
+        if fresh:
             view.subscribe(
                 lambda delta, _text=text: self.pending.append((_text, delta))
             )
-        rows = sum(len(rows) for rows in view._bases.values())
-        return encode_json({"rows": rows, "seeded": view.seeded})
+        return encode_json({"rows": view.stats()["rows"], "seeded": view.seeded})
 
     def _op_refresh_views(self, body: bytes) -> bytes:
-        for view in self.views.values():
-            view.refresh()
+        self.shard.refresh_views()
         deltas = [
             (text, delta.full_refresh, delta.view._full_variables,
              delta.added, delta.removed)
@@ -269,44 +227,14 @@ class _ShardWorker:
         return encode_view_deltas(deltas)
 
     def _op_view_rows(self, body: bytes) -> bytes:
-        spec = decode_json(body)
-        view = self.views[spec["text"]]
-        rows = view.rows()
-        return encode_query_result(view._full_variables, rows)
+        variables, rows = self.shard.view_rows(decode_json(body)["text"])
+        return encode_query_result(variables, rows)
 
     def _op_stats(self, body: bytes) -> bytes:
-        stats = planner_for(self.graph).statistics
-        persistence = self.persistence
-        payload = {
-            "pid": os.getpid(),
-            "triples": len(self.graph),
-            "version": self.graph.version,
-            "recovered": self.recovered,
-            "wal_records": (
-                persistence.wal.records
-                if persistence is not None and persistence.wal is not None
-                else 0
-            ),
-            "generation": persistence.generation if persistence is not None else 0,
-            "planner": {
-                "queries": stats.queries,
-                "parses": stats.parses,
-                "plans_built": stats.plans_built,
-                "plan_hits": stats.plan_hits,
-                "plan_invalidations": stats.plan_invalidations,
-                "result_hits": stats.result_hits,
-                "result_misses": stats.result_misses,
-                "result_invalidations": stats.result_invalidations,
-                "view_hits": stats.view_hits,
-            },
-            "views": [
-                dict(view.stats(), text=text) for text, view in self.views.items()
-            ],
-        }
-        return encode_json(payload)
+        return encode_json(dict(self.shard.stats(), recovered=self.recovered))
 
     def _op_materialize(self, body: bytes) -> bytes:
-        trace = self.reasoner.materialize(full=bool(body[0]))
+        trace = self.shard.materialize(full=bool(body[0]))
         self._commit()
         return encode_json(
             {
@@ -317,24 +245,20 @@ class _ShardWorker:
         )
 
     def _op_replicate(self, body: bytes) -> bytes:
-        added = self.graph.add_all(
+        added = self.shard.replicate(
             Triple(s, p, o) for s, p, o in decode_triples(body)
         )
         self._commit()
-        reply = bytearray()
-        write_uvarint(reply, added)
-        return bytes(reply)
+        return _encode_count(added)
 
     def _op_retract_subject(self, body: bytes) -> bytes:
         subject, _ = decode_term(body, 0)
-        removed = self.graph.remove_matching(subject=subject)
+        removed = self.shard.retract_subject(subject)
         self._commit()
-        reply = bytearray()
-        write_uvarint(reply, removed)
-        return bytes(reply)
+        return _encode_count(removed)
 
     def _op_dump(self, body: bytes) -> bytes:
-        return encode_graph_body(self.graph)
+        return encode_graph_body(self.shard.graph)
 
     def _op_checkpoint(self, body: bytes) -> bytes:
         if self.persistence is not None:
@@ -344,7 +268,7 @@ class _ShardWorker:
 
     def _op_ping(self, body: bytes) -> bytes:
         """Heartbeat: proves the worker loop is live, not just the process."""
-        return encode_json({"pid": os.getpid(), "triples": len(self.graph)})
+        return encode_json({"pid": os.getpid(), "triples": len(self.shard.graph)})
 
     _HANDLERS = {
         OP_INGEST: _op_ingest,
@@ -398,7 +322,7 @@ def _worker_main(
         elif persistence is not None:
             persistence.attach(graph)
         worker = _ShardWorker(
-            graph, knowledge_base, persistence, snapshot_interval, recover
+            Shard(graph, knowledge_base, persistence), snapshot_interval, recover
         )
         conn.send_bytes(
             frame(
@@ -658,17 +582,17 @@ class ProcessShardStore:
     def query(self, text: str):
         return self._backend.query(text)
 
-    def register_standing(self, text: str, name: Optional[str] = None, seeds=None):
+    def register_standing(self, text: str, name: Optional[str] = None):
         return self._backend.register_standing(text, name=name)
 
     def triple_count(self) -> int:
         return sum(self.shard_sizes())
 
     def shard_sizes(self) -> List[int]:
-        return [info["triples"] for info in self._backend.all_worker_stats()]
+        return [info["triples"] for info in self._backend.shard_stats()]
 
     def versions(self) -> List[int]:
-        return [info["version"] for info in self._backend.all_worker_stats()]
+        return [info["version"] for info in self._backend.shard_stats()]
 
     def union_graph(self) -> Graph:
         union = Graph()
@@ -683,117 +607,13 @@ class ProcessShardStore:
         return f"<ProcessShardStore shards={self.num_shards}>"
 
 
-class ProcessAnnotateStage(Stage):
-    """Pipeline ``annotate`` stage fanning batches out to worker processes.
-
-    Indexes are drawn from the shared counter in arrival order before the
-    fan-out — exactly like the inline stage — so minted IRIs match the
-    single-graph oracle.  The parent recomputes each record's annotation
-    IRI locally (it is a pure function of observation + index) instead of
-    shipping it back.
-    """
-
-    name = "annotate"
-
-    def __init__(self, backend: "ProcessShardBackend", layer_statistics,
-                 enabled: bool = True):
-        self.backend = backend
-        self.router = backend.router
-        self.counter = backend.counter
-        self.layer_statistics = layer_statistics
-        self.enabled = enabled
-        self.executor = None
-        #: Batches that actually spanned more than one worker process.
-        self.parallel_batches = 0
-
-    @property
-    def last_batch_latency(self) -> Dict[int, float]:
-        return {
-            worker.shard: worker.last_batch_latency
-            for worker in self.backend.workers
-            if worker.last_batch_latency
-        }
-
-    def process(self, context) -> bool:
-        if not self.enabled:
-            return True
-        observation = context.observation
-        index = next(self.counter)
-        shard = self.router.shard_for(observation.area)
-        body = encode_ingest([(observation, index)], False)
-        reply = self.backend._rpc(shard, OP_INGEST, body)
-        self.backend.mark_dirty((shard,))
-        self.layer_statistics.annotation_triples += read_uvarint(reply, 0)[0]
-        context.annotation_iri = annotation_iri_for(observation, index)
-        return True
-
-    def process_batch(self, contexts):
-        if not self.enabled or not contexts:
-            return contexts
-        counter = self.counter
-        indexed = [(context, next(counter)) for context in contexts]
-        groups = self.router.split(
-            (pair[0].observation.area, pair) for pair in indexed
-        )
-        if len(groups) > 1:
-            self.parallel_batches += 1
-        requests = [
-            (
-                shard,
-                OP_INGEST,
-                encode_ingest(
-                    [(context.observation, index) for context, index in pairs], False
-                ),
-            )
-            for shard, pairs in groups.items()
-        ]
-        replies = self.backend.scatter(requests)
-        self.backend.mark_dirty(groups.keys())
-        grown = sum(read_uvarint(body, 0)[0] for body in replies.values())
-        self.layer_statistics.annotation_triples += grown
-        for context, index in indexed:
-            context.annotation_iri = annotation_iri_for(context.observation, index)
-        return contexts
-
-
-class ProcessReasonStage(Stage):
-    """Pipeline ``reason`` stage: top up only the touched workers' closures."""
-
-    name = "reason"
-
-    def __init__(self, backend: "ProcessShardBackend", enabled: bool = False):
-        self.backend = backend
-        self.router = backend.router
-        self.enabled = enabled
-        self.executor = None
-
-    def process(self, context) -> bool:
-        if self.enabled:
-            shard = self.router.shard_for(context.observation.area)
-            self.backend._rpc(shard, OP_REASON, b"")
-            self.backend.mark_dirty((shard,))
-        return True
-
-    def process_batch(self, contexts):
-        if not self.enabled or not contexts:
-            return contexts
-        touched = self.router.shards_touched(
-            context.observation.area for context in contexts
-        )
-        self.backend.scatter([(shard, OP_REASON, b"") for shard in touched])
-        self.backend.mark_dirty(touched)
-        return contexts
-
-
-class ProcessShardBackend:
+class ProcessShardBackend(ShardBackend):
     """Shared-nothing multi-core sharding: one worker process per partition.
 
-    Satisfies the same surface as
-    :class:`~repro.core.shard_backend.InlineShardBackend`; see the module
-    docstring for the protocol and crash-recovery story.
+    The :class:`~repro.core.shard_backend.ShardBackend` surface over a
+    pipe; see the module docstring for the protocol and crash-recovery
+    story.
     """
-
-    kind = "process"
 
     def __init__(
         self,
@@ -801,10 +621,7 @@ class ProcessShardBackend:
         knowledge_base,
         statistics,
         shards: int,
-        annotate: bool = True,
-        reason_per_batch: bool = False,
         persistence=None,
-        recovered: bool = False,
         policy: Optional[FaultTolerancePolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         dead_letter=None,
@@ -814,13 +631,18 @@ class ProcessShardBackend:
         self.num_shards = shards
         self.router = ShardRouter(shards)
         self.persistence = persistence
+        recovered = persistence is not None and persistence.recoverable
         self.recovered = recovered
-        self.executor = None
-        # partitions live in the workers; these stay empty on purpose
-        self.annotators: List = []
+        if recovered:
+            # the workers recover their own partitions; the parent only
+            # validates that the store matches the layout
+            persistence.validate_meta(expected_shards=shards, backend="process")
+        # the shards live in the workers: no live reasoners to hand out
         self.reasoners: List = []
         self._context = multiprocessing.get_context("fork")
         self._dirty: set = set()
+        #: per-shard count of writes sent (see :meth:`versions`)
+        self._writes = [0] * shards
         self._handles: Dict[Tuple[int, str], ProcessViewHandle] = {}
         self._ordered_handles: List[ProcessViewHandle] = []
         self._view_specs: List[Tuple[str, Optional[str]]] = []
@@ -830,8 +652,6 @@ class ProcessShardBackend:
         self.policy = policy if policy is not None else FaultTolerancePolicy()
         self.dead_letter = dead_letter
         self.layer_statistics = statistics
-        #: poison batches written to the dead-letter journal this session
-        self.quarantined = 0
         self.breakers = [ShardBreaker() for _ in range(shards)]
         # without persistence a crashed worker cannot be rebuilt, so only
         # non-destructive ("slow") injected faults survive the filter —
@@ -870,8 +690,6 @@ class ProcessShardBackend:
         self.services = ServiceRegistry(
             [_WorkerGraphProxy(self, index) for index in range(shards)]
         )
-        self.annotate_stage = ProcessAnnotateStage(self, statistics, enabled=annotate)
-        self.reason_stage = ProcessReasonStage(self, enabled=reason_per_batch)
         if persistence is not None:
             # a simulated whole-store kill must take the workers down too,
             # or their graceful exits would flush what the test wants lost
@@ -953,7 +771,7 @@ class ProcessShardBackend:
             raise RuntimeError(
                 f"shard worker {shard} failed during view re-registration: {exc}"
             ) from exc
-        self._dirty.add(shard)
+        self.mark_dirty((shard,))
         return worker
 
     def _recover_worker(self, shard: int) -> bytes:
@@ -1123,7 +941,15 @@ class ProcessShardBackend:
         )
 
     def mark_dirty(self, shards: Iterable[int]) -> None:
-        self._dirty.update(shards)
+        """Note writes: the shards' views need draining, their versions move."""
+        for shard in shards:
+            self._dirty.add(shard)
+            self._writes[shard] += 1
+
+    def versions(self) -> List[int]:
+        """Parent-side write counters — no RPC, so callable from any thread
+        while another is mid-``scatter`` on the same pipes."""
+        return list(self._writes)
 
     # -------------------------------------------------------------- #
     # degraded operation: breaker, pending queue, quarantine
@@ -1168,7 +994,7 @@ class ProcessShardBackend:
         for body in parked:
             reply = self.scatter([(shard, OP_INGEST, body)])[shard]
             self.layer_statistics.annotation_triples += read_uvarint(reply, 0)[0]
-            self._dirty.add(shard)
+            self.mark_dirty((shard,))
 
     def _unavailable_reply(self, shard: int, opcode: int, body: bytes) -> bytes:
         """Answer a request for a tripped shard without a worker.
@@ -1207,9 +1033,7 @@ class ProcessShardBackend:
     def _synthetic_reply(self, shard: int, opcode: int) -> bytes:
         """The empty-but-well-formed reply a missing shard contributes."""
         if opcode in (OP_INGEST, OP_REPLICATE, OP_RETRACT_SUBJECT):
-            reply = bytearray()
-            write_uvarint(reply, 0)
-            return bytes(reply)
+            return _encode_count(0)
         if opcode == OP_REFRESH_VIEWS:
             return encode_view_deltas([])
         if opcode == OP_QUERY_ASK:
@@ -1226,17 +1050,7 @@ class ProcessShardBackend:
                     "wal_records": 0,
                     "generation": 0,
                     "tripped": True,
-                    "planner": {
-                        "queries": 0,
-                        "parses": 0,
-                        "plans_built": 0,
-                        "plan_hits": 0,
-                        "plan_invalidations": 0,
-                        "result_hits": 0,
-                        "result_misses": 0,
-                        "result_invalidations": 0,
-                        "view_hits": 0,
-                    },
+                    "planner": asdict(PlannerStatistics()),
                     "views": [],
                 }
             )
@@ -1277,8 +1091,23 @@ class ProcessShardBackend:
         )
 
     # -------------------------------------------------------------- #
-    # querying and reasoning
+    # ingest, reasoning, querying
     # -------------------------------------------------------------- #
+
+    def ingest(self, groups: Dict[int, List[Tuple]]) -> int:
+        replies = self.scatter(
+            [
+                (shard, OP_INGEST, encode_ingest(pairs, False))
+                for shard, pairs in groups.items()
+            ]
+        )
+        self.mark_dirty(groups)
+        return sum(read_uvarint(body, 0)[0] for body in replies.values())
+
+    def reason(self, shards: Iterable[int]) -> None:
+        shards = list(shards)
+        self.scatter([(shard, OP_REASON, b"") for shard in shards])
+        self.mark_dirty(shards)
 
     def query(self, text: str, entail: bool = False):
         anchor = self.library.graph
@@ -1286,7 +1115,7 @@ class ProcessShardBackend:
         if entail:
             # every partition's closure is topped up first — matching the
             # inline oracle's side-effects even when an ASK short-circuits
-            self.ensure_all_materialized()
+            self.reason(range(self.num_shards))
         body = bytearray([0])
         encode_string(body, text)
         body = bytes(body)
@@ -1333,15 +1162,11 @@ class ProcessShardBackend:
             )
         return traces
 
-    def ensure_all_materialized(self) -> None:
-        self._broadcast(OP_REASON)
-        self.mark_dirty(range(self.num_shards))
-
     # -------------------------------------------------------------- #
     # standing views
     # -------------------------------------------------------------- #
 
-    def register_standing(self, text: str, name: Optional[str] = None, seeds=None):
+    def register_standing(self, text: str, name: Optional[str] = None):
         body = encode_json(
             {"text": text, "name": name, "federated": self.num_shards > 1}
         )
@@ -1449,45 +1274,13 @@ class ProcessShardBackend:
     def worker_stats(self, shard: int) -> dict:
         return decode_json(self._rpc(shard, OP_STATS))
 
-    def all_worker_stats(self) -> List[dict]:
+    def shard_stats(self) -> List[dict]:
         replies = self._broadcast(OP_STATS)
         return [decode_json(replies[shard]) for shard in range(self.num_shards)]
 
-    def planner_statistics(self) -> PlannerStatistics:
-        totals = PlannerStatistics()
-        for info in self.all_worker_stats():
-            planner = info["planner"]
-            totals.queries += planner["queries"]
-            totals.parses += planner["parses"]
-            totals.plans_built += planner["plans_built"]
-            totals.plan_hits += planner["plan_hits"]
-            totals.plan_invalidations += planner["plan_invalidations"]
-            totals.result_hits += planner["result_hits"]
-            totals.result_misses += planner["result_misses"]
-            totals.result_invalidations += planner["result_invalidations"]
-            totals.view_hits += planner["view_hits"]
-        return totals
-
-    def shard_statistics(self) -> List[dict]:
-        stats = self.all_worker_stats()
-        health = {entry["shard"]: entry for entry in self.health()["shards"]}
-        return [
-            {
-                "shard": shard,
-                "triples": stats[shard]["triples"],
-                "queue_depth": 1 if worker.inflight is not None else 0,
-                "last_batch_latency": worker.last_batch_latency,
-                "pid": worker.pid,
-                "restarts": self.restart_counts[shard],
-                "wal_records": stats[shard]["wal_records"],
-                "generation": stats[shard]["generation"],
-                "state": health[shard]["state"],
-                "breaker": health[shard]["breaker"],
-                "trips": health[shard]["trips"],
-                "pending_batches": health[shard]["pending_batches"],
-            }
-            for shard, worker in enumerate(self.workers)
-        ]
+    def _load(self, shard: int) -> Tuple[int, float]:
+        worker = self.workers[shard]
+        return (1 if worker.inflight is not None else 0), worker.last_batch_latency
 
     def dump_graph(self, shard: int) -> Graph:
         return restore_graph(decode_graph_body(self._rpc(shard, OP_DUMP)))
@@ -1502,6 +1295,15 @@ class ProcessShardBackend:
     # -------------------------------------------------------------- #
     # lifecycle
     # -------------------------------------------------------------- #
+
+    def attach_persistence(self) -> None:
+        """Record a fresh store's layout; the workers attached their own
+        WALs and snapshots when they were spawned."""
+        if self.persistence is not None and not self.recovered:
+            self.persistence.register_remote(self.num_shards, "process")
+
+    def commit(self) -> None:
+        """Nothing to do here: each worker commits its own log per op."""
 
     def checkpoint_all(self) -> None:
         self._broadcast(OP_CHECKPOINT)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.semantics.rdf.graph import Graph
@@ -353,6 +353,15 @@ class PlannerStatistics:
     result_invalidations: int = 0
     view_hits: int = 0
 
+    def __iadd__(self, other: "PlannerStatistics") -> "PlannerStatistics":
+        for counter in fields(self):
+            setattr(
+                self,
+                counter.name,
+                getattr(self, counter.name) + getattr(other, counter.name),
+            )
+        return self
+
 
 class QueryPlanner:
     """Plans textual queries over one (or more) graphs, caching aggressively.
@@ -545,19 +554,10 @@ class QueryPlanner:
 
     def stats(self) -> Dict[str, object]:
         """Cache and view counters as one observability snapshot."""
-        s = self.statistics
-        return {
-            "queries": s.queries,
-            "parses": s.parses,
-            "plans_built": s.plans_built,
-            "plan_hits": s.plan_hits,
-            "plan_invalidations": s.plan_invalidations,
-            "result_hits": s.result_hits,
-            "result_misses": s.result_misses,
-            "result_invalidations": s.result_invalidations,
-            "view_hits": s.view_hits,
-            "views": [view.stats() for view in self.standing_views()],
-        }
+        return dict(
+            asdict(self.statistics),
+            views=[view.stats() for view in self.standing_views()],
+        )
 
     def clear_caches(self) -> None:
         """Drop every cached parse, plan and result (statistics are kept).

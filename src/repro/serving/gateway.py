@@ -197,15 +197,13 @@ class Gateway:
         """Cache key component that changes whenever answers could.
 
         The gateway's own mutation counter covers everything served
-        through it; the graphs' version numbers additionally catch
-        out-of-band library writes when the graphs live in-process.
+        through it; the layer's per-shard write counters additionally
+        catch writes made behind the gateway's back.  This runs on the
+        event-loop thread for every cacheable request, so it must not
+        reach into a shard: ``versions()`` is parent-side state on every
+        backend, never an RPC.
         """
-        versions: tuple = ()
-        if self._layer is not None:
-            try:
-                versions = tuple(graph.version for graph in self._layer.graphs)
-            except Exception:
-                versions = ()
+        versions = tuple(self._layer.versions()) if self._layer is not None else ()
         return (self._mutations, versions)
 
     async def _run_engine(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:

@@ -87,8 +87,8 @@ class Subscription:
     #: True while the broker replays retained messages to this fresh
     #: subscription *outside* the lock; concurrent publishes park their
     #: messages in ``_backlog`` (under the lock) so per-subscription order
-    #: stays retained-snapshot-then-publish-order without any user handler
-    #: ever running while the broker lock is held.
+    #: stays retained-snapshot-then-publish-order without the replay's
+    #: handler calls holding the broker lock.
     _replaying: bool = field(default=False, repr=False, compare=False)
     _backlog: List[Message] = field(default_factory=list, repr=False, compare=False)
 
@@ -398,7 +398,8 @@ class Broker:
                 # race the replay park their messages in the
                 # subscription's backlog (see ``publish``), which is
                 # drained in publish order below — so ordering is
-                # preserved WITHOUT running the handler under the lock.
+                # preserved WITHOUT running the handler under the lock
+                # (bar the bounded last resort in ``_drain_backlog``).
                 # Holding the lock across handler calls deadlocks when a
                 # subscriber thread's handler blocks on work owned by a
                 # publisher thread that is itself waiting for the broker
@@ -412,15 +413,26 @@ class Broker:
             self._drain_backlog(subscription)
         return subscription
 
+    #: Unlocked drain passes before a fresh subscription is flipped to live
+    #: delivery under the lock (see :meth:`_drain_backlog`).  Kept small:
+    #: when publishers outrun the draining thread, every unlocked pass
+    #: leaves a backlog several times the one it delivered.
+    _DRAIN_PASSES = 2
+
     def _drain_backlog(self, subscription: Subscription) -> None:
         """Deliver publishes parked during retained replay, in order.
 
-        Loops because a handler running during the drain can overlap yet
-        another concurrent publish; the replay flag is only cleared (under
-        the lock) once the backlog is observed empty, after which
-        publishers deliver directly again.
+        Each pass swaps the backlog out under the lock and delivers it
+        outside, because a handler running during the drain can overlap yet
+        another concurrent publish; the replay flag is cleared (under the
+        lock) once the backlog is observed empty, after which publishers
+        deliver directly again.  Publishers that append faster than this
+        thread drains would keep that from ever happening, so the passes
+        are bounded: the last one delivers what is left *while holding the
+        lock* — publishers wait, the backlog cannot grow, per-subscription
+        order holds — and clears the flag there.
         """
-        while True:
+        for _ in range(self._DRAIN_PASSES):
             with self._lock:
                 backlog, subscription._backlog = subscription._backlog, []
                 if not backlog:
@@ -428,6 +440,11 @@ class Broker:
                     return
             for message in backlog:
                 self._deliver(subscription, message)
+        with self._lock:
+            backlog, subscription._backlog = subscription._backlog, []
+            for message in backlog:
+                self._deliver(subscription, message)
+            subscription._replaying = False
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Cancel a subscription (idempotent)."""

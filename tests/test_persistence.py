@@ -6,6 +6,7 @@ run); every assertion message echoes the seed so a failure reproduces with
 ``KILL_RESTART_SEED=<seed> pytest tests/test_persistence.py``.
 """
 
+import json
 import os
 import random
 from collections import Counter
@@ -686,6 +687,28 @@ class TestMiddlewareKillRestart:
         assert view_row_bag(recovered.ontology_layer.standing_views()) == row_bag(
             recovered.query(OBSERVATION_QUERY)
         ), f"seed={SEED}"
+        recovered.close()
+
+
+class TestMiddlewareKillRestartOneShard(TestMiddlewareKillRestart):
+    """The same crash / recovery contract on an unsharded (one-shard) store."""
+
+    SHARDS = 1
+
+    def test_layout_on_disk_is_a_one_shard_inline_store(self, tmp_path):
+        durable = self._build(data_dir=tmp_path / "data")
+        durable.ingest_batch(make_records(random.Random(SEED + 7), 8))
+        durable.close()
+        with open(tmp_path / "data" / "meta.json", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        assert meta == {"version": 1, "shards": 1, "backend": "inline"}
+        assert [p.name for p in (tmp_path / "data").glob("shard-*")] == ["shard-0000"]
+        # the recovered graph replaces the library graph as *the* graph
+        recovered = self._build(data_dir=tmp_path / "data")
+        layer = recovered.ontology_layer
+        assert layer.recovered and not layer.sharded
+        assert layer.graph is layer.graphs[0]
+        assert layer.graph is not layer.library.graph
         recovered.close()
 
 

@@ -428,6 +428,74 @@ def test_shard_statistics_shape():
         single.close()
 
 
+LAYOUTS = [(1, "inline"), (3, "inline"), (3, "process")]
+
+
+@pytest.mark.parametrize("shards, backend", LAYOUTS)
+def test_one_shape_on_every_layout(shards, backend, tmp_path):
+    """One ``Shard``, two transports: every layout reports the same shape,
+    counts the same receipts and builds the same graphs record- or
+    batch-major."""
+    records = make_stream(random.Random(23), 90)
+    reference = build(1, "inline")
+    by_batch = build(shards, backend, data_dir=str(tmp_path / "data"))
+    by_record = build(shards, backend)
+    try:
+        expected = reference.ingest_batch(records)
+        receipt = by_batch.ingest_batch(records)
+        assert (receipt.accepted, receipt.rejected, receipt.quarantined) == (
+            expected.accepted,
+            expected.rejected,
+            expected.quarantined,
+        )
+        assert receipt.rejected > 0  # the stream carries junk on purpose
+        assert [event_key(e) for e in receipt] == [event_key(e) for e in expected]
+
+        # record-major and batch-major ingestion build the same graphs
+        looped = [by_record.ingest_record(record) for record in records]
+        assert [event_key(e) for e in looped if e is not None] == [
+            event_key(e) for e in receipt
+        ]
+        assert graph_bags(by_record.ontology_layer) == graph_bags(
+            by_batch.ontology_layer
+        )
+
+        layer = by_batch.ontology_layer
+        reference_layer = reference.ontology_layer
+        stats = layer.shard_statistics()
+        health = layer.health()["shards"]
+        assert len(stats) == len(health) == shards
+        for entry in stats:
+            assert set(entry) == set(reference_layer.shard_statistics()[0])
+        for entry in health:
+            assert set(entry) == set(reference_layer.health()["shards"][0])
+        # the durable layout reports its segment depth in the shared shape
+        assert sum(entry["wal_records"] for entry in stats) > 0
+        assert all(
+            entry["wal_records"] == 0 and entry["generation"] == 0
+            for entry in by_record.ontology_layer.shard_statistics()
+        )
+        assert layer.triple_count() == sum(entry["triples"] for entry in stats)
+        # versions(): one write counter per shard, moved by any write
+        before = layer.versions()
+        assert len(before) == shards
+        by_batch.ingest_batch(make_stream(random.Random(24), 30))
+        assert layer.versions() != before
+
+        if backend == "inline":
+            # in-process shards hand out the live objects, not copies
+            assert layer.graphs is layer.graphs
+            assert all(a is b for a, b in zip(layer.graphs, layer.store.graphs))
+            assert [r.graph for r in layer.reasoners] == layer.graphs
+            assert (layer.graph is layer.graphs[0]) == (shards == 1)
+        else:
+            assert layer.reasoners == []
+    finally:
+        reference.close()
+        by_batch.close()
+        by_record.close()
+
+
 def test_context_managers_close_idempotently():
     records = make_stream(random.Random(8), 30)
     with build(2, "process") as middleware:

@@ -524,6 +524,47 @@ class TestGatewayHttp:
             ])
 
 
+class TestGatewayCacheTokenStaysInProcess:
+    def test_process_backend_query_sends_no_dump(self):
+        """The cache token is computed on the event-loop thread for every
+        query; it must never reach into a shard worker (it used to dump
+        every shard's graph per request)."""
+        from repro.core.shard_wire import OP_DUMP
+
+        with SemanticMiddleware(
+            library=build_unified_ontology(materialize=True),
+            config=MiddlewareConfig(
+                shards=2, shard_backend="process", broker_latency=0.0
+            ),
+        ) as mw:
+            backend = mw.ontology_layer._backend
+            opcodes = []
+            scatter = backend.scatter
+
+            def recording(requests):
+                requests = list(requests)
+                opcodes.extend(opcode for _, opcode, _ in requests)
+                return scatter(requests)
+
+            backend.scatter = recording
+            probe = {"query": OBSERVATION_QUERY}
+            with GatewayServer(mw, ServingConfig()) as server:
+                with HttpClient("127.0.0.1", server.port, client_id="t") as c:
+                    status, first, h1 = c.post("/v1/query", probe)
+                    assert status == 200 and h1.get("X-Cache") == "miss"
+                    _, _, h2 = c.post("/v1/query", probe)
+                    assert h2.get("X-Cache") == "hit"
+                    # a write behind the gateway's back still moves the token
+                    token = server.gateway._version_token()
+                    mw.ingest_batch([record(value=11.0, timestamp=7200.0)])
+                    assert server.gateway._version_token() != token
+                    status, third, h3 = c.post("/v1/query", probe)
+                    assert status == 200 and h3.get("X-Cache") == "miss"
+                    assert len(third["rows"]) == len(first["rows"]) + 1
+            assert opcodes, "the queries never reached the workers"
+            assert OP_DUMP not in opcodes
+
+
 class TestGatewayRateLimit:
     def test_429_per_client_with_retry_after(self, library):
         with SemanticMiddleware(

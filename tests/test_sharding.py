@@ -554,3 +554,28 @@ def test_sharded_statistics_surface():
     assert stats["query_planner"].queries >= 4  # one scatter per partition
     with pytest.raises(RuntimeError):
         middleware.ontology_layer.query_planner
+
+
+def test_one_shard_store_is_the_unsharded_layer():
+    """``shards=1`` is the same execution path over one adopted graph."""
+    middleware = build_middleware(shards=1, cep_per_record=False)
+    layer = middleware.ontology_layer
+    assert not layer.sharded
+    assert layer.sharding_statistics() is None
+    assert "sharding" not in middleware.statistics()
+    # the one shard adopts (not copies) the library graph, without a pool
+    assert layer.store.num_shards == 1
+    assert layer.graphs[0] is layer.library.graph is middleware.graph
+    assert layer._executor is None
+    middleware.ingest_batch(make_stream(random.Random(9), 40))
+    # it answers through its planner with no merge step: one planner query
+    # per layer query, served from the result cache when repeated
+    assert layer.query_planner is planner_for(layer.graph)
+    first = middleware.query(QUERIES[0])
+    again = middleware.query(QUERIES[0])
+    assert solution_set(first) == solution_set(again)
+    stats = layer.planner_statistics()
+    assert (stats.queries, stats.result_misses, stats.result_hits) == (2, 1, 1)
+    assert stats == layer.query_planner.statistics
+    middleware.close()
+
