@@ -9,8 +9,8 @@ canonical events, derived events, query results and registered services.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from repro.cep.event import DerivedEvent, Event
 from repro.cep.rules import CepRule

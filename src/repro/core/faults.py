@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.shard_wire import OPS
 from repro.errors import ReproError
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -61,23 +62,8 @@ KINDS = frozenset(
     }
 )
 
-# symbolic op names accepted in plan specs, resolved lazily to opcodes so
-# this module stays importable without shard_wire
-OP_NAMES = {
-    "ingest": 0x02,
-    "reason": 0x03,
-    "query_ask": 0x04,
-    "query_full": 0x05,
-    "register_view": 0x06,
-    "refresh_views": 0x07,
-    "stats": 0x08,
-    "materialize": 0x09,
-    "replicate": 0x0A,
-    "retract": 0x0B,
-    "dump": 0x0C,
-    "ping": 0x0F,
-    "checkpoint": 0x10,
-}
+# symbolic op names accepted in plan specs: the op table's method names
+OP_NAMES = {op.method: op.opcode for op in OPS.values()}
 
 
 class ShardUnavailableError(ReproError, RuntimeError):
@@ -355,15 +341,14 @@ class FaultTolerancePolicy:
 
     @classmethod
     def from_config(cls, config) -> "FaultTolerancePolicy":
+        """The policy a :class:`~repro.core.config.MiddlewareConfig` asks for."""
         return cls(
-            rpc_timeout=resolve_rpc_timeout(
-                getattr(config, "shard_rpc_timeout", None)
-            ),
-            restart_budget=getattr(config, "shard_restart_budget", 3),
-            restart_backoff=getattr(config, "shard_restart_backoff", 0.1),
-            replay_budget=getattr(config, "replay_budget", 2),
-            degraded_reads=getattr(config, "degraded_reads", False),
-            pending_limit=getattr(config, "pending_queue_limit", 32),
+            rpc_timeout=resolve_rpc_timeout(config.shard_rpc_timeout),
+            restart_budget=config.shard_restart_budget,
+            restart_backoff=config.shard_restart_backoff,
+            replay_budget=config.replay_budget,
+            degraded_reads=config.degraded_reads,
+            pending_limit=config.pending_queue_limit,
         )
 
     def backoff(self, attempt: int) -> float:

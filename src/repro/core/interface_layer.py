@@ -15,7 +15,7 @@ CEP flush); ``sink`` remains available for per-record dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.streams.broker import Broker

@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ik.indicators import INDICATOR_CATALOGUE
 from repro.ontologies.alignment import AlignmentResult, TermAligner
-from repro.ontologies.environment import CANONICAL_PROPERTIES
 from repro.ontologies.units import UnitConversionError, canonical_symbol, to_canonical
 from repro.sensors.modality import MODALITIES
 from repro.streams.messages import ObservationRecord

@@ -14,7 +14,6 @@ DEWS application and the examples need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from repro.cep.engine import CepEngine
@@ -22,6 +21,7 @@ from repro.cep.event import DerivedEvent, Event
 from repro.cep.rules import CepRule
 from repro.core.api import HealthReport, IngestReceipt, StandingViewHandle
 from repro.core.application_layer import ApplicationAbstractionLayer
+from repro.core.config import MiddlewareConfig
 from repro.core.interface_layer import InterfaceProtocolLayer
 from repro.core.mediator import Mediator
 from repro.core.ontology_layer import OntologySegmentLayer
@@ -31,89 +31,6 @@ from repro.ontologies.library import OntologyLibrary
 from repro.streams.broker import Broker, Message, Subscription
 from repro.streams.messages import ObservationRecord
 from repro.streams.scheduler import SimulationScheduler
-
-
-@dataclass
-class MiddlewareConfig:
-    """Configuration knobs of the middleware facade."""
-
-    #: Whether to write RDF annotations for every observation.
-    annotate_observations: bool = True
-    #: Whether to install the default sensor-side process-detection rules.
-    install_sensor_rules: bool = True
-    #: Whether to derive and install CEP rules from the IK knowledge base.
-    install_ik_rules: bool = True
-    #: Minimum distinct observers for IK rule corroboration.
-    ik_min_observers: int = 2
-    #: Feed every canonical observation to the CEP engine.  Applications
-    #: processing high-frequency mote streams (the DEWS) usually disable
-    #: this and feed daily per-district aggregates instead via
-    #: :meth:`SemanticMiddleware.inject_event`; IK sightings always reach
-    #: the engine.
-    cep_per_record: bool = True
-    #: Keep the reasoner's closure current inside the ingestion pipeline:
-    #: after each record / batch is annotated, the ``reason`` stage tops
-    #: the materialisation up incrementally (cost proportional to the
-    #: batch, not the graph).  Off by default — entailment queries top up
-    #: lazily, just as incrementally.
-    reason_per_batch: bool = False
-    #: Per-hop broker delivery latency in simulated seconds.
-    broker_latency: float = 0.05
-    #: Cloud polling interval of the interface protocol layer.
-    cloud_poll_interval: float = 900.0
-    #: Number of per-area graph partitions in the ontology segment layer.
-    #: With ``1`` ontology and annotations share one graph; with more,
-    #: records are routed by district to per-shard graphs (own dictionary,
-    #: reasoner and
-    #: planner caches, ontology axioms replicated), batches fan out over a
-    #: worker pool, and queries federate scatter-gather across partitions.
-    shards: int = 1
-    #: Worker threads for the sharded batch fan-out (``None`` = one per
-    #: shard, capped at 8; ``0`` = run per-shard work inline).  Only
-    #: meaningful for the ``inline`` shard backend.
-    shard_workers: Optional[int] = None
-    #: Shard execution model: ``"inline"`` (per-shard graphs in this
-    #: process) or ``"process"`` (one worker process per shard —
-    #: shared-nothing multi-core scale-out).  ``None`` defers to the
-    #: ``REPRO_SHARD_BACKEND`` environment variable, defaulting to inline.
-    shard_backend: Optional[str] = None
-    #: Directory for durable state (per-shard WAL + snapshots).  ``None``
-    #: keeps the middleware purely in-memory; a directory that already
-    #: holds a persisted store is *recovered* on construction — graphs,
-    #: closures and standing views come back, and push-mode views are
-    #: re-wired to the broker.
-    data_dir: Optional[str] = None
-    #: WAL durability policy: ``"always"`` (fsync per record), ``"batch"``
-    #: (fsync once per ingest batch — the default) or ``"never"``.
-    wal_fsync: str = "batch"
-    #: WAL records per shard segment before the post-batch checkpoint
-    #: rolls a fresh snapshot and truncates the log.
-    snapshot_interval: int = 50_000
-    #: Deadline (seconds) for every RPC to a shard worker process; a
-    #: worker that misses it is declared hung, killed and restarted from
-    #: its snapshot + WAL.  ``None`` defers to ``REPRO_SHARD_RPC_TIMEOUT``,
-    #: defaulting to 30 s.  Process backend only.
-    shard_rpc_timeout: Optional[float] = None
-    #: Consecutive failed restarts of one shard before its circuit
-    #: breaker trips and the shard is declared unavailable.
-    shard_restart_budget: int = 3
-    #: Base of the exponential backoff between restart attempts (seconds).
-    shard_restart_backoff: float = 0.1
-    #: Replays of an in-flight batch after a worker crash before the batch
-    #: is declared poisonous and quarantined to the dead-letter journal.
-    replay_budget: int = 2
-    #: Serve *partial* federated query results (marked ``degraded`` with
-    #: the missing shards listed) when a shard's breaker is open, instead
-    #: of raising :class:`repro.core.faults.ShardUnavailableError`.
-    degraded_reads: bool = False
-    #: Ingest batches parked per tripped shard awaiting recovery before
-    #: further ingest for that shard raises.
-    pending_queue_limit: int = 32
-    #: Deterministic fault-injection plan (a
-    #: :class:`repro.core.faults.FaultPlan` or its compact string form).
-    #: ``None`` defers to ``REPRO_FAULT_PLAN`` / ``REPRO_FAULT_SEED``;
-    #: normal operation leaves all three unset.
-    fault_plan: Optional[object] = None
 
 
 class SemanticMiddleware:
@@ -153,23 +70,8 @@ class SemanticMiddleware:
             library=library,
             knowledge_base=self.knowledge_base,
             mediator=mediator,
-            annotate=self.config.annotate_observations,
             cep_engine=CepEngine(),
-            cep_per_record=self.config.cep_per_record,
-            reason_per_batch=self.config.reason_per_batch,
-            shards=self.config.shards,
-            shard_workers=self.config.shard_workers,
-            shard_backend=self.config.shard_backend,
-            data_dir=self.config.data_dir,
-            wal_fsync=self.config.wal_fsync,
-            snapshot_interval=self.config.snapshot_interval,
-            shard_rpc_timeout=self.config.shard_rpc_timeout,
-            shard_restart_budget=self.config.shard_restart_budget,
-            shard_restart_backoff=self.config.shard_restart_backoff,
-            replay_budget=self.config.replay_budget,
-            degraded_reads=self.config.degraded_reads,
-            pending_queue_limit=self.config.pending_queue_limit,
-            fault_plan=self.config.fault_plan,
+            config=self.config,
         )
         self.application_layer = ApplicationAbstractionLayer(
             self.ontology_layer, self.broker
@@ -389,7 +291,7 @@ class SemanticMiddleware:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release owned resources (worker pool, WAL file handles).
+        """Release owned resources (shard worker processes, WAL file handles).
 
         Idempotent.  With persistence enabled this is the graceful-shutdown
         path: buffered WAL records are committed and the files released, so

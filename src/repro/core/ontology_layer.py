@@ -25,20 +25,15 @@ CEP flush).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cep.engine import CepEngine
 from repro.cep.event import DerivedEvent, Event
 from repro.cep.rules import CepRule
 from repro.core.api import HealthReport, IngestReceipt, StandingViewHandle
-from repro.core.faults import (
-    FaultPlan,
-    FaultTolerancePolicy,
-    resolve_fault_plan,
-    resolve_rpc_timeout,
-)
-from repro.core.mediator import CanonicalObservation, MediationOutcome, Mediator
+from repro.core.config import MiddlewareConfig
+from repro.core.mediator import Mediator
 from repro.core.pipeline import (
     AnnotateStage,
     CepStage,
@@ -51,13 +46,13 @@ from repro.core.pipeline import (
     ValidateStage,
 )
 from repro.core.services import SemanticService
-from repro.core.shard_backend import make_shard_backend, resolve_shard_backend
+from repro.core.shard_backend import make_shard_backend
 from repro.ik.knowledge_base import IndigenousKnowledgeBase
 from repro.ontologies.environment import CANONICAL_PROPERTIES
 from repro.ontologies.library import OntologyLibrary, build_unified_ontology
 from repro.ontologies.vocabulary import DROUGHT
 from repro.persistence.dead_letter import DeadLetterJournal
-from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, StorePersistence
+from repro.persistence.store import StorePersistence
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.sparql.evaluator import QueryResult
 from repro.semantics.sparql.planner import (
@@ -113,77 +108,12 @@ class OntologySegmentLayer:
         catalogue.  Its indicators are materialised into the graph.
     mediator:
         Custom mediator (the ablation benchmark passes the passthrough one).
-    annotate:
-        Whether to write RDF annotations for every observation.  The
-        annotation graph grows linearly with traffic; experiments that only
-        need canonical events can disable it.
     cep_engine:
         Custom CEP engine; a fresh one is created if omitted.
-    reason_per_batch:
-        Keep the reasoner's closure current as part of the pipeline: the
-        ``reason`` stage tops up the materialisation incrementally right
-        after each record / batch is annotated.  Off by default — the
-        reasoner then tops up lazily on the first entailment query, which
-        is just as incremental.
-    shards:
-        Number of per-area graph partitions.  With ``1`` (the default) the
-        single shard adopts the library graph, so ontology and annotations
-        share one graph and queries go straight through its planner — the
-        oracle the federated layouts are tested against.  With more,
-        annotations are routed by district into per-shard graphs (each
-        with its own term dictionary, indexes, reasoner and planner caches,
-        ontology axioms replicated), batch annotation / reasoning fan out
-        across the touched shards, and queries are federated
-        scatter-gather across the partitions.
-    shard_workers:
-        Worker-thread pool size for the sharded batch fan-out (defaults to
-        the shard count, capped at 8); ``0`` disables the pool and runs the
-        per-shard work inline, which is the right call on single-core hosts.
-        Only meaningful for the ``inline`` backend.
-    shard_backend:
-        The transport that executes the shards: ``"inline"`` (in this
-        process, called directly, thread-pool fan-out — the default and
-        the equivalence oracle) or ``"process"`` (one worker process per
-        shard, see :mod:`repro.core.shard_worker`).  ``None`` defers to
-        the ``REPRO_SHARD_BACKEND`` environment variable.  Ignored when
-        ``shards == 1``.
-    data_dir:
-        Directory for durable state (per-shard WAL + snapshots).  ``None``
-        (the default) keeps the layer purely in-memory.  When the directory
-        already holds a persisted store, the layer *recovers* it: every
-        partition is rebuilt from its newest valid snapshot plus its WAL
-        tail, the annotation counter resumes past the recovered IRIs,
-        reasoner closures are rebuilt and persisted standing views are
-        re-registered.
-    wal_fsync:
-        ``"always"`` / ``"batch"`` / ``"never"`` — see
-        :mod:`repro.persistence.wal`.  ``"batch"`` fsyncs once per ingest
-        batch, bounding loss to the in-flight batch.
-    snapshot_interval:
-        WAL records per shard segment before the post-batch checkpoint
-        rolls a fresh snapshot and truncates the log.
-    shard_rpc_timeout:
-        Deadline (seconds) for every worker RPC of the process backend; a
-        worker that misses it is declared hung, SIGKILLed and restarted
-        from its durable state.  ``None`` defers to the
-        ``REPRO_SHARD_RPC_TIMEOUT`` environment variable (default 30s).
-    shard_restart_budget / shard_restart_backoff:
-        How many restart attempts a dead shard gets (with exponential
-        backoff between them) before its circuit breaker trips.
-    replay_budget:
-        How often a recovered worker replays the same in-flight batch
-        before it is quarantined to the dead-letter journal as poison.
-    degraded_reads:
-        With a tripped shard, serve federated queries from the surviving
-        partitions (results carry ``degraded`` + ``missing_shards``
-        markers) instead of raising ``ShardUnavailableError``.
-    pending_queue_limit:
-        Ingest batches parked per tripped shard until recovery; overflow
-        raises.
-    fault_plan:
-        A :class:`~repro.core.faults.FaultPlan` of injected faults for
-        the process backend (tests/CI); ``None`` defers to the
-        ``REPRO_FAULT_PLAN`` / ``REPRO_FAULT_SEED`` environment.
+    config:
+        The :class:`~repro.core.config.MiddlewareConfig` — annotation,
+        reasoning, sharding, durability and fault-tolerance knobs are all
+        read from it (and documented on it); defaults if omitted.
     """
 
     def __init__(
@@ -191,79 +121,48 @@ class OntologySegmentLayer:
         library: Optional[OntologyLibrary] = None,
         knowledge_base: Optional[IndigenousKnowledgeBase] = None,
         mediator: Optional[Mediator] = None,
-        annotate: bool = True,
         cep_engine: Optional[CepEngine] = None,
-        cep_per_record: bool = True,
-        reason_per_batch: bool = False,
-        shards: int = 1,
-        shard_workers: Optional[int] = None,
-        shard_backend: Optional[str] = None,
-        data_dir: Optional[str] = None,
-        wal_fsync: str = "batch",
-        snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
-        shard_rpc_timeout: Optional[float] = None,
-        shard_restart_budget: int = 3,
-        shard_restart_backoff: float = 0.1,
-        replay_budget: int = 2,
-        degraded_reads: bool = False,
-        pending_queue_limit: int = 32,
-        fault_plan: Optional[FaultPlan] = None,
+        config: Optional[MiddlewareConfig] = None,
     ):
+        self.config = config = config or MiddlewareConfig()
         self.library = library or build_unified_ontology(materialize=True)
-        self.shards = max(1, int(shards))
         self.knowledge_base = knowledge_base or IndigenousKnowledgeBase()
         self.mediator = mediator or Mediator()
-        self.annotate_observations = annotate
-        self.cep_per_record = cep_per_record
         self.cep = cep_engine or CepEngine()
         self.statistics = OntologyLayerStatistics()
         self._publish_stage = PublishStage(self.knowledge_base, self.statistics)
-        #: Transport executing the shards; one shard always runs in-process.
-        self.shard_backend = (
-            resolve_shard_backend(shard_backend) if self.shards > 1 else "inline"
-        )
         self._closed = False
-        #: Supervision knobs for the process backend (harmless elsewhere).
-        self.fault_policy = FaultTolerancePolicy(
-            rpc_timeout=resolve_rpc_timeout(shard_rpc_timeout),
-            restart_budget=shard_restart_budget,
-            restart_backoff=shard_restart_backoff,
-            replay_budget=replay_budget,
-            degraded_reads=degraded_reads,
-            pending_limit=pending_queue_limit,
-        )
-        self.fault_plan = resolve_fault_plan(fault_plan)
         #: Records the pipeline gave up on: validation rejects and poison
         #: batches, on disk when a ``data_dir`` exists, in memory otherwise.
-        self.dead_letter = DeadLetterJournal(data_dir)
+        self.dead_letter = DeadLetterJournal(config.data_dir)
         self.persistence: Optional[StorePersistence] = None
-        if data_dir is not None:
+        if config.data_dir is not None:
             self.persistence = StorePersistence(
-                data_dir, fsync=wal_fsync, snapshot_interval=snapshot_interval
+                config.data_dir,
+                fsync=config.wal_fsync,
+                snapshot_interval=config.snapshot_interval,
             )
 
         # the backend builds the shards — or recovers them when the data
         # dir already holds a persisted store
         self._backend = make_shard_backend(
-            self.shard_backend,
+            config,
             self.library,
             self.knowledge_base,
             self.statistics,
-            self.shards,
-            shard_workers=shard_workers,
             persistence=self.persistence,
-            policy=self.fault_policy,
-            fault_plan=self.fault_plan,
             dead_letter=self.dead_letter,
         )
+        self.shards = self._backend.num_shards
+        #: Transport executing the shards; one shard always runs in-process.
+        self.shard_backend = self._backend.kind
         #: Whether this layer's graphs were rebuilt from durable state.
         self.recovered = self._backend.recovered
         self.store = self._backend.store
-        self._executor = self._backend.executor
         self.reasoners = self._backend.reasoners
         self.services = self._backend.services
         self._annotate_stage = AnnotateStage(
-            self._backend, self.statistics, enabled=self.annotate_observations
+            self._backend, self.statistics, enabled=config.annotate_observations
         )
         self.pipeline = Pipeline(
             [
@@ -272,16 +171,16 @@ class OntologySegmentLayer:
                     dead_letter=self.dead_letter, layer_statistics=self.statistics
                 ),
                 self._annotate_stage,
-                ReasonStage(self._backend, enabled=reason_per_batch),
+                ReasonStage(self._backend, enabled=config.reason_per_batch),
                 self._publish_stage,
-                CepStage(self.cep, self.statistics, per_record=self.cep_per_record),
+                CepStage(self.cep, self.statistics, per_record=config.cep_per_record),
             ]
         )
         self._register_default_services()
         # only now, so the base content lands in the generation-0 snapshots
         self._backend.attach_persistence()
         if self.recovered:
-            if reason_per_batch:
+            if config.reason_per_batch:
                 # the pipeline expects closures to be current between
                 # batches; a lazy layer instead recomputes on first
                 # entailment query, which needs no eager rebuild
@@ -500,17 +399,6 @@ class OntologySegmentLayer:
         """Every live standing view across the shards."""
         return self._backend.standing_views()
 
-    def refresh_standing_views(self) -> None:
-        """Fold pending graph deltas into every standing view.
-
-        Called by the middleware facade after each ingest so push-mode
-        subscribers (CEP windows over broker-delivered view deltas) see
-        changes without anyone querying; a no-op for clean views.  The
-        process backend drains only the shards written since the last
-        refresh and ships their deltas over the wire in one round.
-        """
-        self._backend.refresh_views()
-
     @property
     def query_planner(self) -> QueryPlanner:
         """The shared planner for the single graph (``shards == 1`` only)."""
@@ -526,8 +414,14 @@ class OntologySegmentLayer:
         return self._backend.planner_statistics()
 
     def standing_view_statistics(self) -> Dict[str, object]:
-        """Observability snapshot of the maintained standing views."""
-        views = [view.stats() for view in self.standing_views()]
+        """Observability snapshot of the maintained standing views.
+
+        One :meth:`~repro.core.shard.Shard.stats` round — every shard
+        reports all of its views' counters in one answer.
+        """
+        views = [
+            view for info in self._backend.shard_stats() for view in info["views"]
+        ]
         return {
             "views": views,
             "delta_updates": sum(v["delta_updates"] for v in views),
@@ -586,7 +480,6 @@ class OntologySegmentLayer:
             return
         self._closed = True
         self._backend.close()
-        self._executor = None
         if self.persistence is not None:
             self.persistence.close()
 

@@ -8,9 +8,12 @@ the standing views registered on it and — when the layer is durable — the
 
 :class:`~repro.core.shard_backend.InlineShardBackend` holds N shards and
 calls these methods directly; a :mod:`~repro.core.shard_worker` process
-holds one and calls the same methods after decoding a request.  *When*
-journalled writes are committed is the transport's decision (once per
-batch in-process, once per op in a worker), so nothing here fsyncs.
+holds one and calls the same methods after decoding a request.  Every
+method a backend calls has one row in the op table
+(:data:`repro.core.shard_wire.OPS`), which is all either transport needs
+to know about it.  *When* journalled writes are committed is the
+transport's decision (once per batch in-process, once per op in a
+worker), so only :meth:`Shard.checkpoint` fsyncs.
 """
 
 from __future__ import annotations
@@ -88,8 +91,15 @@ class Shard:
         """Add replicated content (service descriptions, ontology deltas)."""
         return self.graph.add_all(triples)
 
-    def retract_subject(self, subject: Term) -> int:
+    def retract(self, subject: Term) -> int:
+        """Remove every triple about ``subject``."""
         return self.graph.remove_matching(subject=subject)
+
+    def checkpoint(self) -> None:
+        """Force a durable snapshot (no-op without a durable segment)."""
+        if self.persistence is not None:
+            self.persistence.commit()
+            self.persistence.checkpoint()
 
     # -- reasoning and querying ----------------------------------------- #
 
@@ -165,6 +175,14 @@ class Shard:
                 dict(view.stats(), text=text) for text, view in self.views.items()
             ],
         }
+
+    def ping(self) -> dict:
+        """Heartbeat: proves the shard's event loop is live, not just its process."""
+        return {"pid": os.getpid(), "triples": len(self.graph)}
+
+    def dump(self) -> Graph:
+        """The whole partition — live here, a full copy across a pipe."""
+        return self.graph
 
     def __repr__(self) -> str:
         return f"<Shard triples={len(self.graph)} views={len(self.views)}>"

@@ -7,19 +7,23 @@ shards execute is one declarative choice:
 
 ``inline``
     :class:`InlineShardBackend` holds the shards in this interpreter and
-    calls them directly; a batch that spans partitions fans out over a
-    thread pool, a one-shard store runs without one.  Its graphs and
-    reasoners are live objects (``layer.graphs`` / ``layer.reasoners``).
+    calls them directly, one after another.  Its graphs and reasoners are
+    live objects (``layer.graphs`` / ``layer.reasoners``).
 
 ``process``
     :class:`repro.core.shard_worker.ProcessShardBackend` forks one worker
     process per shard and calls the same :class:`~repro.core.shard.Shard`
     methods through a pipe, so ingest and reasoning scale across cores
     instead of serialising on the GIL; the supervisor (deadlines, restarts,
-    circuit breaker, quarantine) wraps that transport.
+    circuit breaker, quarantine) wraps that transport.  Parallelism is this
+    transport's job: under the GIL an in-process thread pool bought
+    nothing.
 
-Both expose the surface documented on :class:`ShardBackend`, so neither
-the layer nor the pipeline stages know which one they are talking to.
+A transport is one primitive — :meth:`ShardBackend._run`, "run these
+``Shard`` methods on these shards and hand back the results" — and every
+shard operation is written once on :class:`ShardBackend` over it, so
+neither the layer nor the pipeline stages know which one they are talking
+to.
 
 The default is ``inline``; the ``REPRO_SHARD_BACKEND`` environment
 variable (or the explicit ``shard_backend`` configuration knob, which
@@ -31,15 +35,22 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.annotation import next_annotation_index
-from repro.core.faults import ShardUnavailableError  # noqa: F401 - re-export
+from repro.core.faults import (
+    FaultTolerancePolicy,
+    ShardUnavailableError,  # noqa: F401 - re-export
+    resolve_fault_plan,
+)
 from repro.core.services import ServiceRegistry
 from repro.core.shard import Shard
 from repro.semantics.rdf.sharding import ShardedGraphStore
-from repro.semantics.sparql.planner import PlannerStatistics, federated_query
+from repro.semantics.rdf.term import Term
+from repro.semantics.rdf.triple import Triple
+from repro.semantics.rules import InferenceTrace
+from repro.semantics.sparql.evaluator import QueryResult
+from repro.semantics.sparql.planner import PlannerStatistics, federate, federated_query
 
 #: Environment variable selecting the default shard backend.
 SHARD_BACKEND_ENV = "REPRO_SHARD_BACKEND"
@@ -63,26 +74,92 @@ def resolve_shard_backend(explicit: Optional[str] = None) -> str:
 class ShardBackend:
     """What the layer and the pipeline stages call on either transport.
 
-    Attributes: ``num_shards``, ``router``, ``counter`` (the shared
-    arrival-order annotation index allocator), ``store`` (a
+    Attributes: ``kind`` (``"inline"`` / ``"process"``), ``num_shards``,
+    ``library``, ``router``, ``counter`` (the shared arrival-order
+    annotation index allocator), ``store`` (a
     :class:`~repro.semantics.rdf.sharding.ShardedGraphStore`-shaped view
-    of the partitions), ``services``, ``reasoners``, ``quarantined``.
+    of the partitions), ``services``, ``reasoners``, ``recovered``,
+    ``quarantined``.
 
-    Transport-specific methods: ``ingest(groups) -> grown`` (``shard ->
-    [(observation, index)]``), ``reason(shards)``, ``query(text, entail)``,
-    ``materialize_inferences(full)``, ``versions()``,
-    ``register_standing`` / ``standing_views`` / ``refresh_views``,
-    ``attach_persistence`` / ``commit`` / ``checkpoint_all`` / ``close``,
-    ``shard_stats()`` (every shard's :meth:`Shard.stats
-    <repro.core.shard.Shard.stats>`), ``health()`` and ``_load(shard)``.
-    The aggregations below are written once over those.
+    A transport supplies :meth:`_run` and what is genuinely its own:
+    ``versions()``, ``register_standing`` / ``standing_views`` /
+    ``refresh_views``, ``attach_persistence`` / ``commit`` / ``close``,
+    ``health()`` and ``_load(shard)``.  Every shard operation below is
+    written once over ``_run``.
     """
 
+    kind = ""
     num_shards = 0
-    #: thread pool for in-process fan-out, where the transport has one
-    executor = None
     #: poison batches written to the dead-letter journal this session
     quarantined = 0
+
+    def _run(self, requests: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
+        """The transport: ``{shard: (Shard method name, args)}`` in,
+        ``{shard: result}`` out."""
+        raise NotImplementedError
+
+    def _run_all(self, method: str, *args) -> List:
+        """One method on every shard; results in shard order."""
+        results = self._run({shard: (method, args) for shard in range(self.num_shards)})
+        return [results[shard] for shard in range(self.num_shards)]
+
+    def _missing_shards(self) -> Sequence[int]:
+        """Shards sitting a read out — none, unless the transport's shards
+        can fail independently of this interpreter."""
+        return ()
+
+    # -------------------------------------------------------------- #
+    # ingest, reasoning, querying
+    # -------------------------------------------------------------- #
+
+    def ingest(self, groups: Dict[int, List[Tuple]]) -> int:
+        """Annotate ``shard -> [(observation, index)]``; returns the growth."""
+        grown = self._run({shard: ("ingest", (pairs,)) for shard, pairs in groups.items()})
+        return sum(grown.values())
+
+    def reason(self, shards: Iterable[int]) -> None:
+        self._run({shard: ("reason", ()) for shard in shards})
+
+    def query(self, text: str, entail: bool = False) -> QueryResult:
+        if entail:
+            # every partition's closure is topped up first, whether or not
+            # an ASK then short-circuits before reaching it
+            self.reason(range(self.num_shards))
+        if self.num_shards == 1:
+            # one shard is not a federation: its planner answers, no merge
+            return federated_query(self.store.graphs, text)
+        return federate(
+            text,
+            self.library.graph,
+            range(self.num_shards),
+            ask=lambda shard: self._run({shard: ("query_ask", (text,))})[shard],
+            gather=lambda: self._run_all("query_full", text),
+            missing=self._missing_shards,
+        )
+
+    def materialize_inferences(self, full: bool = False) -> List[InferenceTrace]:
+        return self._run_all("materialize", full)
+
+    # -------------------------------------------------------------- #
+    # replication (service descriptions, ontology deltas)
+    # -------------------------------------------------------------- #
+
+    def replicate_to(self, shard: int, triples: List[Triple]) -> int:
+        return self._run({shard: ("replicate", (triples,))})[shard]
+
+    def retract_subject(self, shard: int, subject: Term) -> int:
+        return self._run({shard: ("retract", (subject,))})[shard]
+
+    # -------------------------------------------------------------- #
+    # durability and observability
+    # -------------------------------------------------------------- #
+
+    def checkpoint_all(self) -> None:
+        self._run_all("checkpoint")
+
+    def shard_stats(self) -> List[dict]:
+        """Every shard's :meth:`Shard.stats <repro.core.shard.Shard.stats>`."""
+        return self._run_all("stats")
 
     def planner_statistics(self) -> PlannerStatistics:
         """Planner / cache counters summed across the shards."""
@@ -119,7 +196,7 @@ class ShardBackend:
 
 
 class InlineShardBackend(ShardBackend):
-    """N shards in this interpreter, called directly.
+    """N shards in this interpreter, called directly and serially.
 
     A one-shard store *adopts* the library graph — ontology axioms, IK
     catalogue, service descriptions and annotations share one graph, and
@@ -129,14 +206,10 @@ class InlineShardBackend(ShardBackend):
     replicated into every partition.
     """
 
-    def __init__(
-        self,
-        library,
-        knowledge_base,
-        shards: int,
-        shard_workers: Optional[int] = None,
-        persistence=None,
-    ):
+    kind = "inline"
+
+    def __init__(self, library, knowledge_base, shards: int, persistence=None):
+        self.library = library
         self.num_shards = shards
         self.persistence = persistence
         self.recovered = persistence is not None and persistence.recoverable
@@ -153,55 +226,22 @@ class InlineShardBackend(ShardBackend):
         # idempotent on recovery: the indicators use deterministic IRIs,
         # so re-materialising adds (and therefore journals) nothing new
         self.store.replicate_with(knowledge_base.materialize)
-        if shard_workers is None:
-            shard_workers = min(shards, 8)
-        self.executor = (
-            ThreadPoolExecutor(
-                max_workers=shard_workers, thread_name_prefix="shard-worker"
-            )
-            if shard_workers > 0 and shards > 1
-            else None
-        )
         self.counter = itertools.count(
             next_annotation_index(self.store.graphs) if self.recovered else 1
         )
         self.shards = [Shard(graph, knowledge_base) for graph in self.store.graphs]
         self.reasoners = [shard.reasoner for shard in self.shards]
         self.services = ServiceRegistry(self.store.graphs)
-        #: Wall-clock seconds each shard spent on its last ingest group.
+        #: Wall-clock seconds each shard spent on its last operation.
         self.last_batch_latency: Dict[int, float] = {}
 
-    def _fan_out(self, call, items: list) -> list:
-        """``call(*item)`` per item — on the pool when several shards work."""
-        if self.executor is not None and len(items) > 1:
-            futures = [self.executor.submit(call, *item) for item in items]
-            return [future.result() for future in futures]
-        return [call(*item) for item in items]
-
-    # -------------------------------------------------------------- #
-    # ingest, reasoning, querying
-    # -------------------------------------------------------------- #
-
-    def _ingest_shard(self, shard: int, pairs) -> int:
-        started = time.perf_counter()
-        grown = self.shards[shard].ingest(pairs)
-        self.last_batch_latency[shard] = time.perf_counter() - started
-        return grown
-
-    def ingest(self, groups: Dict[int, List[Tuple]]) -> int:
-        return sum(self._fan_out(self._ingest_shard, list(groups.items())))
-
-    def reason(self, shards: Iterable[int]) -> None:
-        self._fan_out(Shard.reason, [(self.shards[shard],) for shard in shards])
-
-    def query(self, text: str, entail: bool = False):
-        if entail:
-            for shard in self.shards:
-                shard.reason()
-        return federated_query(self.store.graphs, text)
-
-    def materialize_inferences(self, full: bool = False):
-        return [shard.materialize(full=full) for shard in self.shards]
+    def _run(self, requests: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
+        results = {}
+        for shard, (method, args) in requests.items():
+            started = time.perf_counter()
+            results[shard] = getattr(self.shards[shard], method)(*args)
+            self.last_batch_latency[shard] = time.perf_counter() - started
+        return results
 
     def versions(self) -> List[int]:
         return self.store.versions()
@@ -211,25 +251,17 @@ class InlineShardBackend(ShardBackend):
     # -------------------------------------------------------------- #
 
     def register_standing(self, text: str, name: Optional[str] = None):
-        federated = self.num_shards > 1
-        return [
-            shard.register_view(text, name=name, federated=federated)
-            for shard in self.shards
-        ]
+        return self._run_all("register_view", text, name, self.num_shards > 1)
 
     def standing_views(self) -> List:
         return [view for shard in self.shards for view in shard.views.values()]
 
     def refresh_views(self) -> None:
-        for shard in self.shards:
-            shard.refresh_views()
+        self._run_all("refresh_views")
 
     # -------------------------------------------------------------- #
     # observability
     # -------------------------------------------------------------- #
-
-    def shard_stats(self) -> List[dict]:
-        return [shard.stats() for shard in self.shards]
 
     def _load(self, shard: int) -> Tuple[int, float]:
         return 0, self.last_batch_latency.get(shard, 0.0)
@@ -278,40 +310,27 @@ class InlineShardBackend(ShardBackend):
             shard.attach(segment)
 
     def commit(self) -> None:
-        """The batch's durability point: one commit (fsync per policy) after
-        the fan-out threads have joined, then roll any shard whose WAL
-        outgrew the snapshot interval."""
+        """The batch's durability point: one commit (fsync per policy) once
+        every shard has its share, then roll any shard whose WAL outgrew
+        the snapshot interval."""
         if self.persistence is not None:
             self.persistence.commit()
             self.persistence.maybe_checkpoint()
 
-    def checkpoint_all(self) -> None:
-        if self.persistence is not None:
-            self.persistence.checkpoint_all()
-
     def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-            self.executor = None
+        """Nothing to release: the shards are plain objects."""
 
     def __repr__(self) -> str:
         return f"<InlineShardBackend shards={self.num_shards}>"
 
 
 def make_shard_backend(
-    kind: str,
-    library,
-    knowledge_base,
-    statistics,
-    shards: int,
-    shard_workers: Optional[int] = None,
-    persistence=None,
-    policy=None,
-    fault_plan=None,
-    dead_letter=None,
+    config, library, knowledge_base, statistics, persistence=None, dead_letter=None
 ) -> ShardBackend:
-    """Build the configured backend (lazily importing the process one)."""
-    if kind == "process":
+    """Build the transport ``config`` selects (lazily importing the process
+    one); a one-shard store always runs in-process."""
+    shards = max(1, int(config.shards))
+    if shards > 1 and resolve_shard_backend(config.shard_backend) == "process":
         from repro.core.shard_worker import ProcessShardBackend
 
         return ProcessShardBackend(
@@ -320,14 +339,8 @@ def make_shard_backend(
             statistics,
             shards,
             persistence=persistence,
-            policy=policy,
-            fault_plan=fault_plan,
+            policy=FaultTolerancePolicy.from_config(config),
+            fault_plan=resolve_fault_plan(config.fault_plan),
             dead_letter=dead_letter,
         )
-    return InlineShardBackend(
-        library,
-        knowledge_base,
-        shards,
-        shard_workers=shard_workers,
-        persistence=persistence,
-    )
+    return InlineShardBackend(library, knowledge_base, shards, persistence=persistence)

@@ -9,14 +9,18 @@ are read by humans and dashboards, not replayed into graphs.
 
 Every message is ``opcode byte + body``; the pipe itself length-prefixes
 each message, so no outer framing is needed here.
+
+The module ends with the **op table** (:data:`OPS`): one :class:`ShardOp`
+row per shard operation, which is everything either transport, the worker
+dispatcher, the supervisor and the fault harness know about it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.mediator import CanonicalObservation
 from repro.persistence.codec import (
@@ -27,13 +31,24 @@ from repro.persistence.codec import (
     read_uvarint,
     write_uvarint,
 )
+from repro.persistence.snapshot import (
+    decode_graph_body,
+    encode_graph_body,
+    restore_graph,
+)
+from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.term import Term, Variable
+from repro.semantics.rdf.triple import Triple
+from repro.semantics.rules import InferenceTrace
 from repro.semantics.sparql.bindings import Bindings, bindings_from_mapping
+from repro.semantics.sparql.planner import PlannerStatistics
 
 _DOUBLE = struct.Struct("<d")
 
 # ------------------------------------------------------------------ #
-# opcodes (parent -> worker requests; worker echoes the opcode back)
+# opcodes (parent -> worker requests; worker echoes the opcode back).
+# HELLO / CLOSE / KILL / FAULT / ERROR are the worker loop's own control
+# frames; every other opcode is a row of the op table at the end.
 # ------------------------------------------------------------------ #
 
 OP_HELLO = 0x01
@@ -175,10 +190,10 @@ def decode_observation(data: bytes, offset: int) -> Tuple[CanonicalObservation, 
     )
 
 
-def encode_ingest(pairs: Sequence[Tuple[CanonicalObservation, int]], reason: bool) -> bytes:
-    """INGEST body: reason flag + (annotation index, observation) pairs."""
+def encode_ingest(pairs: Sequence[Tuple[CanonicalObservation, int]]) -> bytes:
+    """INGEST body: a reserved zero byte + (annotation index, observation) pairs."""
     buffer = bytearray()
-    buffer.append(1 if reason else 0)
+    buffer.append(0)
     write_uvarint(buffer, len(pairs))
     for obs, index in pairs:
         write_uvarint(buffer, index)
@@ -186,18 +201,17 @@ def encode_ingest(pairs: Sequence[Tuple[CanonicalObservation, int]], reason: boo
     return bytes(buffer)
 
 
-def decode_ingest(body: bytes) -> Tuple[List[Tuple[CanonicalObservation, int]], bool]:
+def decode_ingest(body: bytes) -> List[Tuple[CanonicalObservation, int]]:
     """Decode an INGEST body back into (observation, index) pairs."""
     if not body:
         raise ValueError("truncated ingest body")
-    reason = bool(body[0])
     count, offset = read_uvarint(body, 1)
     pairs: List[Tuple[CanonicalObservation, int]] = []
     for _ in range(count):
         index, offset = read_uvarint(body, offset)
         obs, offset = decode_observation(body, offset)
         pairs.append((obs, index))
-    return pairs, reason
+    return pairs
 
 
 # ------------------------------------------------------------------ #
@@ -313,7 +327,7 @@ def decode_view_deltas(
 # ------------------------------------------------------------------ #
 
 
-def encode_triples(triples: Sequence[Tuple[Term, Term, Term]]) -> bytes:
+def encode_triples(triples: Sequence[Triple]) -> bytes:
     """REPLICATE body: a flat list of decoded triples."""
     buffer = bytearray()
     write_uvarint(buffer, len(triples))
@@ -324,15 +338,15 @@ def encode_triples(triples: Sequence[Tuple[Term, Term, Term]]) -> bytes:
     return bytes(buffer)
 
 
-def decode_triples(body: bytes) -> List[Tuple[Term, Term, Term]]:
+def decode_triples(body: bytes) -> List[Triple]:
     """Decode a REPLICATE body."""
     count, offset = read_uvarint(body, 0)
-    triples: List[Tuple[Term, Term, Term]] = []
+    triples: List[Triple] = []
     for _ in range(count):
         s, offset = decode_term(body, offset)
         p, offset = decode_term(body, offset)
         o, offset = decode_term(body, offset)
-        triples.append((s, p, o))
+        triples.append(Triple(s, p, o))
     return triples
 
 
@@ -346,8 +360,168 @@ def decode_json(body: bytes) -> object:
     return json.loads(body.decode("utf-8"))
 
 
-def sanitize_number(value: float) -> float:
-    """Clamp NaN/inf for JSON transport (statistics only)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return 0.0
-    return value
+# ------------------------------------------------------------------ #
+# the op table
+# ------------------------------------------------------------------ #
+
+
+class Codec(NamedTuple):
+    """An encode/decode pair.  A request codec encodes the method's
+    argument tuple (``encode(*args)``) and decodes a body back into one; a
+    reply codec carries the method's result."""
+
+    encode: Callable[..., bytes]
+    decode: Callable[[bytes], object]
+
+
+def _encode_count(count: int) -> bytes:
+    buffer = bytearray()
+    write_uvarint(buffer, count)
+    return bytes(buffer)
+
+
+def _encode_query(text: str, entail: bool = False) -> bytes:
+    buffer = bytearray([1 if entail else 0])
+    encode_string(buffer, text)
+    return bytes(buffer)
+
+
+def _encode_term(term: Term) -> bytes:
+    buffer = bytearray()
+    encode_term_into(buffer, term)
+    return bytes(buffer)
+
+
+def _decode_view_spec(body: bytes) -> Tuple[str, Optional[str], bool]:
+    spec = decode_json(body)
+    return spec["text"], spec["name"], bool(spec["federated"])
+
+
+_NO_ARGS = Codec(lambda: b"", lambda body: ())
+_PAIRS = Codec(encode_ingest, lambda body: (decode_ingest(body),))
+_QUERY = Codec(_encode_query, lambda body: (decode_string(body, 1)[0], bool(body[0])))
+_VIEW_SPEC = Codec(
+    lambda text, name=None, federated=True: encode_json(
+        {"text": text, "name": name, "federated": federated}
+    ),
+    _decode_view_spec,
+)
+_VIEW_TEXT = Codec(
+    lambda text: encode_json({"text": text}), lambda body: (decode_json(body)["text"],)
+)
+_FLAG_ARG = Codec(lambda flag=False: bytes([1 if flag else 0]), lambda body: (bool(body[0]),))
+_TRIPLES = Codec(encode_triples, lambda body: (decode_triples(body),))
+_TERM = Codec(_encode_term, lambda body: (decode_term(body, 0)[0],))
+
+_NOTHING = Codec(lambda result: b"", lambda body: None)
+_COUNT = Codec(_encode_count, lambda body: read_uvarint(body, 0)[0])
+_FLAG = Codec(lambda flag: bytes([1 if flag else 0]), lambda body: bool(body and body[0]))
+_ROWS = Codec(lambda result: encode_query_result(*result), decode_query_result)
+_JSON = Codec(encode_json, decode_json)
+#: a standing view stays with its shard; its size and seeding cross the pipe
+_VIEW_INFO = Codec(
+    lambda view: encode_json({"rows": view.stats()["rows"], "seeded": view.seeded}),
+    decode_json,
+)
+_DELTAS = Codec(encode_view_deltas, decode_view_deltas)
+_TRACE = Codec(
+    lambda trace: encode_json(asdict(trace)),
+    lambda body: InferenceTrace(**decode_json(body)),
+)
+_GRAPH = Codec(encode_graph_body, lambda body: restore_graph(decode_graph_body(body)))
+
+#: ``ShardOp.writes``: whether the op changes the shard's graph — a worker
+#: commits its journal after one, the parent marks the shard dirty.
+ALWAYS, ON_ENTAIL, NEVER = "always", "entail", "never"
+#: ``ShardOp.down``: what a shard behind an open breaker contributes.
+PARK, EMPTY, DEGRADED, REFUSE = "park", "empty", "degraded", "refuse"
+
+
+@dataclass(frozen=True)
+class ShardOp:
+    """One shard operation, declared once.
+
+    ``method`` is the public :class:`~repro.core.shard.Shard` method that
+    *is* the operation (and the op's name in fault-plan specs): the
+    in-process transport calls it directly, the process transport sends
+    ``opcode`` + ``request.encode(*args)``, the worker decodes, calls the
+    same method, commits per ``writes`` (``ON_ENTAIL`` ops take ``(text,
+    entail)`` and write only when asked to entail) and answers
+    ``reply.encode(result)``.
+
+    ``down`` is what the supervisor answers for a shard whose breaker is
+    open — ``PARK`` the request body until the shard is back (durable
+    stores only) and answer ``empty``; answer ``empty``; answer ``empty``
+    only under ``degraded_reads``; or ``REFUSE`` with
+    :class:`~repro.core.faults.ShardUnavailableError`.  ``empty`` is the
+    encoded reply of a shard that holds nothing, which is also what a
+    quarantined poison request is answered with.
+    """
+
+    method: str
+    opcode: int
+    request: Codec = _NO_ARGS
+    reply: Codec = _NOTHING
+    writes: str = NEVER
+    down: str = REFUSE
+    empty: bytes = b""
+
+
+_EMPTY_ROWS = encode_query_result([], [])
+_ZERO = _encode_count(0)
+
+#: The table.  Adding a shard operation is one ``Shard`` method plus one
+#: row here.
+OP_TABLE: Tuple[ShardOp, ...] = (
+    ShardOp("ingest", OP_INGEST, _PAIRS, _COUNT, writes=ALWAYS, down=PARK, empty=_ZERO),
+    ShardOp("reason", OP_REASON, writes=ALWAYS, down=DEGRADED),
+    ShardOp(
+        "query_ask", OP_QUERY_ASK, _QUERY, _FLAG,
+        writes=ON_ENTAIL, down=DEGRADED, empty=b"\x00",
+    ),
+    ShardOp(
+        "query_full", OP_QUERY_FULL, _QUERY, _ROWS,
+        writes=ON_ENTAIL, down=DEGRADED, empty=_EMPTY_ROWS,
+    ),
+    ShardOp(
+        "register_view", OP_REGISTER_VIEW, _VIEW_SPEC, _VIEW_INFO,
+        empty=encode_json({"rows": 0, "seeded": False}),
+    ),
+    ShardOp(
+        "refresh_views", OP_REFRESH_VIEWS, reply=_DELTAS,
+        down=EMPTY, empty=encode_view_deltas([]),
+    ),
+    ShardOp("view_rows", OP_VIEW_ROWS, _VIEW_TEXT, _ROWS, empty=_EMPTY_ROWS),
+    ShardOp(
+        "stats", OP_STATS, reply=_JSON,
+        down=EMPTY,
+        empty=encode_json(
+            {
+                "pid": None,
+                "triples": 0,
+                "version": 0,
+                "wal_records": 0,
+                "generation": 0,
+                "tripped": True,
+                "planner": asdict(PlannerStatistics()),
+                "views": [],
+            }
+        ),
+    ),
+    ShardOp(
+        "materialize", OP_MATERIALIZE, _FLAG_ARG, _TRACE,
+        writes=ALWAYS, empty=_TRACE.encode(InferenceTrace()),
+    ),
+    ShardOp("replicate", OP_REPLICATE, _TRIPLES, _COUNT, writes=ALWAYS, empty=_ZERO),
+    ShardOp("retract", OP_RETRACT_SUBJECT, _TERM, _COUNT, writes=ALWAYS, empty=_ZERO),
+    ShardOp("dump", OP_DUMP, reply=_GRAPH, empty=encode_graph_body(Graph())),
+    ShardOp("checkpoint", OP_CHECKPOINT, down=EMPTY),
+    ShardOp(
+        "ping", OP_PING, reply=_JSON,
+        down=EMPTY, empty=encode_json({"pid": None, "triples": 0, "tripped": True}),
+    ),
+)
+
+#: Shard method name -> its row, and opcode -> row.
+OPS: Dict[str, ShardOp] = {op.method: op for op in OP_TABLE}
+OPS_BY_OPCODE: Dict[int, ShardOp] = {op.opcode: op for op in OP_TABLE}

@@ -11,6 +11,12 @@ annotation counter, and one duplex pipe per worker.
 
 Requests travel as ``opcode + body`` messages in the WAL/snapshot codec
 (:mod:`repro.core.shard_wire`); the pipe length-prefixes each message.
+Nothing here knows an individual operation: the parent's transport
+(:meth:`ProcessShardBackend._run`) encodes a request and decodes its reply
+from the op's row in :data:`~repro.core.shard_wire.OPS`, the worker's
+dispatcher decodes, calls the ``Shard`` method the row names, commits as
+the row says and encodes the result, and the supervisor answers for a
+shard behind an open breaker from the row's ``down`` / ``empty`` columns.
 Annotation indexes are pre-assigned by the parent from the shared counter
 before fan-out, so minted IRIs — and therefore graph content — stay
 bag-identical to the inline backend regardless of process scheduling.
@@ -53,9 +59,8 @@ import multiprocessing
 import os
 import time
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
 from dataclasses import asdict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.annotation import next_annotation_index
 from repro.core.faults import (
@@ -70,63 +75,32 @@ from repro.core.shard import Shard
 from repro.core.shard_backend import ShardBackend
 from repro.core.shard_router import ShardRouter
 from repro.core.shard_wire import (
-    OP_CHECKPOINT,
+    ALWAYS,
+    DEGRADED,
+    EMPTY,
+    ON_ENTAIL,
     OP_CLOSE,
-    OP_DUMP,
     OP_ERROR,
     OP_FAULT,
     OP_HELLO,
-    OP_INGEST,
     OP_KILL,
-    OP_MATERIALIZE,
-    OP_PING,
-    OP_QUERY_ASK,
-    OP_QUERY_FULL,
-    OP_REASON,
-    OP_REFRESH_VIEWS,
-    OP_REGISTER_VIEW,
-    OP_REPLICATE,
-    OP_RETRACT_SUBJECT,
-    OP_STATS,
-    OP_VIEW_ROWS,
-    decode_ingest,
+    OPS,
+    OPS_BY_OPCODE,
+    PARK,
     decode_json,
-    decode_query_result,
-    decode_string,
-    decode_term,
-    decode_triples,
-    decode_view_deltas,
-    encode_ingest,
     encode_json,
-    encode_query_result,
-    encode_string,
-    encode_term_into,
-    encode_triples,
-    encode_view_deltas,
     frame,
-    read_uvarint,
     unframe,
-    write_uvarint,
-)
-from repro.persistence.snapshot import (
-    decode_graph_body,
-    encode_graph_body,
-    restore_graph,
 )
 from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, ShardPersistence
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.sharding import ShardedGraphStore
 from repro.semantics.rdf.term import Term
 from repro.semantics.rdf.triple import Triple
-from repro.semantics.rules import InferenceTrace
-from repro.semantics.sparql.bindings import EMPTY_BINDINGS
-from repro.semantics.sparql.evaluator import QueryResult
-from repro.semantics.sparql.planner import (
-    PlannerStatistics,
-    merge_federated_solutions,
-    planner_for,
-)
 from repro.semantics.sparql.views import ViewDelta
+
+_INGEST = OPS["ingest"]
+_REGISTER_VIEW = OPS["register_view"]
 
 
 # ------------------------------------------------------------------ #
@@ -134,26 +108,18 @@ from repro.semantics.sparql.views import ViewDelta
 # ------------------------------------------------------------------ #
 
 
-def _encode_count(count: int) -> bytes:
-    reply = bytearray()
-    write_uvarint(reply, count)
-    return bytes(reply)
+class _ShardWorker(Shard):
+    """The :class:`Shard` a worker process owns, driven by the op table.
 
-
-class _ShardWorker:
-    """Wire adapter around the one :class:`Shard` a worker process owns.
-
-    Every handler is decode → :class:`Shard` method → commit → encode; the
-    per-op commit is this transport's durability point (the parent cannot
-    fsync a log it does not own).
+    :meth:`dispatch` is decode → ``Shard`` method → commit → encode, all
+    four read from the op's row; the per-op commit is this transport's
+    durability point (the parent cannot fsync a log it does not own).
     """
 
-    def __init__(self, shard: Shard, snapshot_interval: int, recovered: bool):
-        self.shard = shard
-        self.persistence = shard.persistence
+    def __init__(self, graph, knowledge_base, persistence, snapshot_interval: int):
+        super().__init__(graph, knowledge_base, persistence)
         self.snapshot_interval = snapshot_interval
-        self.recovered = recovered
-        #: (text, ViewDelta) buffered for the next REFRESH_VIEWS drain —
+        #: (text, ViewDelta) buffered for the next ``refresh_views`` drain —
         #: deltas can also surface implicitly (a query or checkpoint
         #: refreshing a view), and the parent must still see them
         self.pending: List[Tuple[str, ViewDelta]] = []
@@ -166,126 +132,33 @@ class _ShardWorker:
         if wal is not None and wal.records >= self.snapshot_interval:
             self.persistence.checkpoint()
 
-    # -- dispatch ------------------------------------------------------- #
-
     def dispatch(self, opcode: int, body: bytes) -> bytes:
-        handler = self._HANDLERS.get(opcode)
-        if handler is None:
+        op = OPS_BY_OPCODE.get(opcode)
+        if op is None:
             raise ValueError(f"unknown opcode 0x{opcode:02x}")
-        return handler(self, body)
-
-    def _op_ingest(self, body: bytes) -> bytes:
-        pairs, _reason = decode_ingest(body)
-        grown = self.shard.ingest(pairs)
-        self._commit()
-        return _encode_count(grown)
-
-    def _op_reason(self, body: bytes) -> bytes:
-        self.shard.reason()
-        self._commit()
-        return b""
-
-    def _decode_query(self, body: bytes) -> Tuple[str, bool]:
-        text, _ = decode_string(body, 1)
-        return text, bool(body[0])
-
-    def _op_query_ask(self, body: bytes) -> bytes:
-        text, entail = self._decode_query(body)
-        ask = self.shard.query_ask(text, entail)
-        if entail:
+        args = op.request.decode(body)
+        result = getattr(self, op.method)(*args)
+        if op.writes == ALWAYS or (op.writes == ON_ENTAIL and args[1]):
             self._commit()
-        return bytes([1 if ask else 0])
+        return op.reply.encode(result)
 
-    def _op_query_full(self, body: bytes) -> bytes:
-        text, entail = self._decode_query(body)
-        variables, solutions = self.shard.query_full(text, entail)
-        if entail:
-            self._commit()
-        return encode_query_result(variables, solutions)
-
-    def _op_register_view(self, body: bytes) -> bytes:
-        spec = decode_json(body)
-        text = spec["text"]
-        fresh = text not in self.shard.views
-        view = self.shard.register_view(
-            text, name=spec["name"], federated=bool(spec["federated"])
-        )
+    def register_view(self, text: str, name: Optional[str] = None, federated: bool = True):
+        fresh = text not in self.views
+        view = super().register_view(text, name=name, federated=federated)
         if fresh:
-            view.subscribe(
-                lambda delta, _text=text: self.pending.append((_text, delta))
-            )
-        return encode_json({"rows": view.stats()["rows"], "seeded": view.seeded})
+            view.subscribe(lambda delta: self.pending.append((text, delta)))
+        return view
 
-    def _op_refresh_views(self, body: bytes) -> bytes:
-        self.shard.refresh_views()
-        deltas = [
+    def refresh_views(self) -> List[tuple]:
+        """Drain the buffered deltas, itemised for the wire — a parent-side
+        handle re-dispatches them to its listeners."""
+        super().refresh_views()
+        drained, self.pending = self.pending, []
+        return [
             (text, delta.full_refresh, delta.view._full_variables,
              delta.added, delta.removed)
-            for text, delta in self.pending
+            for text, delta in drained
         ]
-        self.pending = []
-        return encode_view_deltas(deltas)
-
-    def _op_view_rows(self, body: bytes) -> bytes:
-        variables, rows = self.shard.view_rows(decode_json(body)["text"])
-        return encode_query_result(variables, rows)
-
-    def _op_stats(self, body: bytes) -> bytes:
-        return encode_json(dict(self.shard.stats(), recovered=self.recovered))
-
-    def _op_materialize(self, body: bytes) -> bytes:
-        trace = self.shard.materialize(full=bool(body[0]))
-        self._commit()
-        return encode_json(
-            {
-                "iterations": trace.iterations,
-                "inferred": trace.inferred,
-                "by_rule": trace.by_rule,
-            }
-        )
-
-    def _op_replicate(self, body: bytes) -> bytes:
-        added = self.shard.replicate(
-            Triple(s, p, o) for s, p, o in decode_triples(body)
-        )
-        self._commit()
-        return _encode_count(added)
-
-    def _op_retract_subject(self, body: bytes) -> bytes:
-        subject, _ = decode_term(body, 0)
-        removed = self.shard.retract_subject(subject)
-        self._commit()
-        return _encode_count(removed)
-
-    def _op_dump(self, body: bytes) -> bytes:
-        return encode_graph_body(self.shard.graph)
-
-    def _op_checkpoint(self, body: bytes) -> bytes:
-        if self.persistence is not None:
-            self.persistence.commit()
-            self.persistence.checkpoint()
-        return b""
-
-    def _op_ping(self, body: bytes) -> bytes:
-        """Heartbeat: proves the worker loop is live, not just the process."""
-        return encode_json({"pid": os.getpid(), "triples": len(self.shard.graph)})
-
-    _HANDLERS = {
-        OP_INGEST: _op_ingest,
-        OP_REASON: _op_reason,
-        OP_QUERY_ASK: _op_query_ask,
-        OP_QUERY_FULL: _op_query_full,
-        OP_REGISTER_VIEW: _op_register_view,
-        OP_REFRESH_VIEWS: _op_refresh_views,
-        OP_VIEW_ROWS: _op_view_rows,
-        OP_STATS: _op_stats,
-        OP_MATERIALIZE: _op_materialize,
-        OP_REPLICATE: _op_replicate,
-        OP_RETRACT_SUBJECT: _op_retract_subject,
-        OP_DUMP: _op_dump,
-        OP_CHECKPOINT: _op_checkpoint,
-        OP_PING: _op_ping,
-    }
 
 
 def _worker_main(
@@ -321,9 +194,7 @@ def _worker_main(
             knowledge_base.materialize(graph)
         elif persistence is not None:
             persistence.attach(graph)
-        worker = _ShardWorker(
-            Shard(graph, knowledge_base, persistence), snapshot_interval, recover
-        )
+        worker = _ShardWorker(graph, knowledge_base, persistence, snapshot_interval)
         conn.send_bytes(
             frame(
                 OP_HELLO,
@@ -479,16 +350,15 @@ class ProcessViewHandle:
         """Drain pending deltas (for every view — refreshes are global)."""
         self._backend.refresh_views()
 
+    def _call(self, method: str, *args):
+        return self._backend._run({self.shard: (method, args)})[self.shard]
+
     def rows(self):
-        body = self._backend._rpc(
-            self.shard, OP_VIEW_ROWS, encode_json({"text": self.text})
-        )
-        _variables, rows = decode_query_result(body)
+        _variables, rows = self._call("view_rows", self.text)
         return rows
 
     def stats(self) -> dict:
-        info = self._backend.worker_stats(self.shard)
-        for view in info["views"]:
+        for view in self._call("stats")["views"]:
             if view["text"] == self.text:
                 return view
         raise KeyError(f"view {self.text!r} not registered on shard {self.shard}")
@@ -541,10 +411,9 @@ class _WorkerGraphProxy:
 class ProcessShardStore:
     """A :class:`ShardedGraphStore`-shaped facade over worker processes.
 
-    Serves the store surface the layer and its tests consume.  Paths that
-    need whole graphs (``graphs``, ``union_graph``) ship full snapshots
-    over the DUMP RPC — correct but expensive, intended for tests and
-    offline inspection, not the hot path.
+    Serves the store surface the layer consumes.  ``graphs`` ships every
+    partition as a full snapshot over the ``dump`` op — correct but
+    expensive, intended for tests and offline inspection, not the hot path.
     """
 
     def __init__(self, backend: "ProcessShardBackend", replicated_triples: int):
@@ -561,29 +430,7 @@ class ProcessShardStore:
 
     @property
     def graphs(self) -> List[Graph]:
-        return self._backend.dump_graphs()
-
-    def graph_for(self, area: Optional[str]) -> Graph:
-        return self._backend.dump_graph(self.shard_for(area))
-
-    def replicate(self, triples) -> int:
-        if isinstance(triples, Graph):
-            triples = [Triple(s, p, o) for s, p, o in triples]
-        else:
-            triples = list(triples)
-        return self._backend.replicate_all(triples)
-
-    def replicate_with(self, writer) -> None:
-        raise RuntimeError(
-            "replicate_with cannot cross the process boundary; replicate "
-            "triples, or write into the partitions before the workers fork"
-        )
-
-    def query(self, text: str):
-        return self._backend.query(text)
-
-    def register_standing(self, text: str, name: Optional[str] = None):
-        return self._backend.register_standing(text, name=name)
+        return self._backend._run_all("dump")
 
     def triple_count(self) -> int:
         return sum(self.shard_sizes())
@@ -593,15 +440,6 @@ class ProcessShardStore:
 
     def versions(self) -> List[int]:
         return [info["version"] for info in self._backend.shard_stats()]
-
-    def union_graph(self) -> Graph:
-        union = Graph()
-        for shard_graph in self.graphs:
-            union.add_all(Triple(s, p, o) for s, p, o in shard_graph)
-        return union
-
-    def __len__(self) -> int:
-        return self.num_shards
 
     def __repr__(self) -> str:
         return f"<ProcessShardStore shards={self.num_shards}>"
@@ -614,6 +452,8 @@ class ProcessShardBackend(ShardBackend):
     pipe; see the module docstring for the protocol and crash-recovery
     story.
     """
+
+    kind = "process"
 
     def __init__(
         self,
@@ -755,10 +595,8 @@ class ProcessShardBackend(ShardBackend):
             for text, name in self._view_specs:
                 self._send(
                     worker,
-                    OP_REGISTER_VIEW,
-                    encode_json(
-                        {"text": text, "name": name, "federated": self.num_shards > 1}
-                    ),
+                    _REGISTER_VIEW.opcode,
+                    _REGISTER_VIEW.request.encode(text, name, self.num_shards > 1),
                 )
                 self._receive(worker)
         except (RuntimeError, EOFError, OSError) as exc:
@@ -810,7 +648,7 @@ class ProcessShardBackend(ShardBackend):
                 self._trip(shard, last_error)
                 if inflight is None:
                     return b""
-                return self._unavailable_reply(shard, inflight[0], inflight[1])
+                return self._unavailable_reply(shard, *inflight)
             delay = self.policy.backoff(attempt)
             attempt += 1
             if delay:
@@ -827,7 +665,7 @@ class ProcessShardBackend(ShardBackend):
             if replays >= self.policy.replay_budget:
                 self._quarantine(shard, inflight, last_error)
                 self.breakers[shard].close()
-                return self._synthetic_reply(shard, inflight[0])
+                return OPS_BY_OPCODE[inflight[0]].empty
             opcode, body = inflight
             replays += 1
             worker.inflight = inflight
@@ -932,13 +770,18 @@ class ProcessShardBackend(ShardBackend):
             replies[shard] = self._recover_worker(shard)
         return replies
 
-    def _rpc(self, shard: int, opcode: int, body: bytes = b"") -> bytes:
-        return self.scatter([(shard, opcode, body)])[shard]
-
-    def _broadcast(self, opcode: int, body: bytes = b"") -> Dict[int, bytes]:
-        return self.scatter(
-            [(shard, opcode, body) for shard in range(self.num_shards)]
+    def _run(self, requests: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
+        """The transport: each request encoded from its op-table row, one
+        :meth:`scatter`, each reply decoded from the same row."""
+        ops = {shard: OPS[method] for shard, (method, _args) in requests.items()}
+        replies = self.scatter(
+            [
+                (shard, ops[shard].opcode, ops[shard].request.encode(*args))
+                for shard, (_method, args) in requests.items()
+            ]
         )
+        self.mark_dirty(shard for shard, op in ops.items() if op.writes == ALWAYS)
+        return {shard: op.reply.decode(replies[shard]) for shard, op in ops.items()}
 
     def mark_dirty(self, shards: Iterable[int]) -> None:
         """Note writes: the shards' views need draining, their versions move."""
@@ -992,22 +835,24 @@ class ProcessShardBackend(ShardBackend):
         breaker = self.breakers[shard]
         parked, breaker.pending = list(breaker.pending), []
         for body in parked:
-            reply = self.scatter([(shard, OP_INGEST, body)])[shard]
-            self.layer_statistics.annotation_triples += read_uvarint(reply, 0)[0]
+            reply = self.scatter([(shard, _INGEST.opcode, body)])[shard]
+            self.layer_statistics.annotation_triples += _INGEST.reply.decode(reply)
             self.mark_dirty((shard,))
 
     def _unavailable_reply(self, shard: int, opcode: int, body: bytes) -> bytes:
         """Answer a request for a tripped shard without a worker.
 
-        Ingest parks in the bounded pending queue (recovery will flush
-        it); housekeeping ops (stats, view drains, checkpoints, pings)
-        get synthetic empty replies so the rest of the system keeps
-        running; reads get synthetic partial replies only under
-        ``degraded_reads``.  Everything else refuses loudly.
+        What the shard contributes is the op's ``down`` column: ingest
+        parks in the bounded pending queue (recovery will flush it);
+        housekeeping ops (stats, view drains, checkpoints, pings) get
+        empty replies so the rest of the system keeps running; reads get
+        empty — partial — replies only under ``degraded_reads``.
+        Everything else refuses loudly.
         """
+        op = OPS_BY_OPCODE[opcode]
         breaker = self.breakers[shard]
         error = breaker.last_error or "restart budget exhausted"
-        if opcode == OP_INGEST and self.persistence is not None:
+        if op.down == PARK and self.persistence is not None:
             if len(breaker.pending) >= self.policy.pending_limit:
                 raise ShardUnavailableError(
                     f"shard {shard} is unavailable and its pending ingest "
@@ -1016,47 +861,14 @@ class ProcessShardBackend(ShardBackend):
                     shard=shard,
                 )
             breaker.pending.append(body)
-            return self._synthetic_reply(shard, opcode)
-        if opcode in (OP_REFRESH_VIEWS, OP_STATS, OP_CHECKPOINT, OP_PING):
-            return self._synthetic_reply(shard, opcode)
-        if (
-            opcode in (OP_QUERY_ASK, OP_QUERY_FULL, OP_REASON)
-            and self.policy.degraded_reads
-        ):
-            return self._synthetic_reply(shard, opcode)
+            return op.empty
+        if op.down == EMPTY or (op.down == DEGRADED and self.policy.degraded_reads):
+            return op.empty
         raise ShardUnavailableError(
             f"shard {shard} is unavailable (circuit open after "
             f"{breaker.trips} trip(s)): {error}",
             shard=shard,
         )
-
-    def _synthetic_reply(self, shard: int, opcode: int) -> bytes:
-        """The empty-but-well-formed reply a missing shard contributes."""
-        if opcode in (OP_INGEST, OP_REPLICATE, OP_RETRACT_SUBJECT):
-            return _encode_count(0)
-        if opcode == OP_REFRESH_VIEWS:
-            return encode_view_deltas([])
-        if opcode == OP_QUERY_ASK:
-            return bytes([0])
-        if opcode == OP_QUERY_FULL:
-            return encode_query_result([], [])
-        if opcode == OP_STATS:
-            return encode_json(
-                {
-                    "pid": None,
-                    "triples": 0,
-                    "version": 0,
-                    "recovered": False,
-                    "wal_records": 0,
-                    "generation": 0,
-                    "tripped": True,
-                    "planner": asdict(PlannerStatistics()),
-                    "views": [],
-                }
-            )
-        if opcode == OP_PING:
-            return encode_json({"pid": None, "triples": 0, "tripped": True})
-        return b""
 
     def _quarantine(self, shard: int, inflight: Tuple[int, bytes], error: str) -> None:
         """Write a poison batch to the dead-letter journal and move on.
@@ -1068,9 +880,9 @@ class ProcessShardBackend(ShardBackend):
         """
         opcode, body = inflight
         records: List[dict] = []
-        if opcode == OP_INGEST:
+        if opcode == _INGEST.opcode:
             try:
-                pairs, _reason = decode_ingest(body)
+                (pairs,) = _INGEST.request.decode(body)
                 records = [asdict(obs) for obs, _index in pairs]
             except (ValueError, IndexError):
                 records = []
@@ -1085,105 +897,32 @@ class ProcessShardBackend(ShardBackend):
                 records=records,
             )
 
-    def _degraded_shards(self) -> Tuple[int, ...]:
+    def _missing_shards(self) -> Tuple[int, ...]:
         return tuple(
             shard for shard in range(self.num_shards) if self.breakers[shard].open
         )
-
-    # -------------------------------------------------------------- #
-    # ingest, reasoning, querying
-    # -------------------------------------------------------------- #
-
-    def ingest(self, groups: Dict[int, List[Tuple]]) -> int:
-        replies = self.scatter(
-            [
-                (shard, OP_INGEST, encode_ingest(pairs, False))
-                for shard, pairs in groups.items()
-            ]
-        )
-        self.mark_dirty(groups)
-        return sum(read_uvarint(body, 0)[0] for body in replies.values())
-
-    def reason(self, shards: Iterable[int]) -> None:
-        shards = list(shards)
-        self.scatter([(shard, OP_REASON, b"") for shard in shards])
-        self.mark_dirty(shards)
-
-    def query(self, text: str, entail: bool = False):
-        anchor = self.library.graph
-        parsed = planner_for(anchor)._parse(text)
-        if entail:
-            # every partition's closure is topped up first — matching the
-            # inline oracle's side-effects even when an ASK short-circuits
-            self.reason(range(self.num_shards))
-        body = bytearray([0])
-        encode_string(body, text)
-        body = bytes(body)
-        if parsed.form == "ASK":
-            # sequential probe so a hit short-circuits the remaining shards
-            for shard in range(self.num_shards):
-                reply = self._rpc(shard, OP_QUERY_ASK, body)
-                if reply and reply[0]:
-                    return self._mark_degraded(
-                        QueryResult("ASK", [EMPTY_BINDINGS], [])
-                    )
-            return self._mark_degraded(QueryResult("ASK", [], []))
-        replies = self._broadcast(OP_QUERY_FULL, body)
-        per_graph: List[List] = []
-        full_variables: List = []
-        for shard in range(self.num_shards):
-            variables, solutions = decode_query_result(replies[shard])
-            per_graph.append(solutions)
-            full_variables = variables
-        return self._mark_degraded(
-            merge_federated_solutions(parsed, per_graph, full_variables, anchor)
-        )
-
-    def _mark_degraded(self, result: QueryResult) -> QueryResult:
-        """Stamp a partial result when any shard sat out behind its breaker."""
-        missing = self._degraded_shards()
-        if missing:
-            result.degraded = True
-            result.missing_shards = missing
-        return result
-
-    def materialize_inferences(self, full: bool = False) -> List[InferenceTrace]:
-        replies = self._broadcast(OP_MATERIALIZE, bytes([1 if full else 0]))
-        self.mark_dirty(range(self.num_shards))
-        traces = []
-        for shard in range(self.num_shards):
-            info = decode_json(replies[shard])
-            traces.append(
-                InferenceTrace(
-                    iterations=info["iterations"],
-                    inferred=info["inferred"],
-                    by_rule=dict(info["by_rule"]),
-                )
-            )
-        return traces
 
     # -------------------------------------------------------------- #
     # standing views
     # -------------------------------------------------------------- #
 
     def register_standing(self, text: str, name: Optional[str] = None):
-        body = encode_json(
-            {"text": text, "name": name, "federated": self.num_shards > 1}
+        fresh = [
+            shard for shard in range(self.num_shards)
+            if (shard, text) not in self._handles
+        ]
+        infos = self._run(
+            {shard: ("register_view", (text, name, self.num_shards > 1)) for shard in fresh}
         )
-        handles = []
-        for shard in range(self.num_shards):
-            handle = self._handles.get((shard, text))
-            if handle is None:
-                info = decode_json(self._rpc(shard, OP_REGISTER_VIEW, body))
-                handle = ProcessViewHandle(
-                    self, shard, text, name, seeded=bool(info["seeded"])
-                )
-                self._handles[(shard, text)] = handle
-                self._ordered_handles.append(handle)
-            handles.append(handle)
+        for shard in fresh:
+            handle = ProcessViewHandle(
+                self, shard, text, name, seeded=bool(infos[shard]["seeded"])
+            )
+            self._handles[(shard, text)] = handle
+            self._ordered_handles.append(handle)
         if (text, name) not in self._view_specs:
             self._view_specs.append((text, name))
-        return handles
+        return [self._handles[(shard, text)] for shard in range(self.num_shards)]
 
     def standing_views(self) -> List[ProcessViewHandle]:
         return list(self._ordered_handles)
@@ -1194,11 +933,9 @@ class ProcessShardBackend(ShardBackend):
             return
         dirty = sorted(self._dirty)
         self._dirty.clear()
-        replies = self.scatter([(shard, OP_REFRESH_VIEWS, b"") for shard in dirty])
+        drained = self._run({shard: ("refresh_views", ()) for shard in dirty})
         for shard in dirty:
-            for text, full_refresh, _variables, added, removed in decode_view_deltas(
-                replies[shard]
-            ):
+            for text, full_refresh, _variables, added, removed in drained[shard]:
                 handle = self._handles.get((shard, text))
                 if handle is None:
                     continue
@@ -1208,35 +945,13 @@ class ProcessShardBackend(ShardBackend):
                         listener(delta)
 
     # -------------------------------------------------------------- #
-    # replication (service descriptions, ontology deltas)
-    # -------------------------------------------------------------- #
-
-    def replicate_to(self, shard: int, triples: List[Triple]) -> int:
-        body = encode_triples([(t.subject, t.predicate, t.object) for t in triples])
-        self.mark_dirty((shard,))
-        return read_uvarint(self._rpc(shard, OP_REPLICATE, body), 0)[0]
-
-    def replicate_all(self, triples: List[Triple]) -> int:
-        body = encode_triples([(t.subject, t.predicate, t.object) for t in triples])
-        replies = self._broadcast(OP_REPLICATE, body)
-        self.mark_dirty(range(self.num_shards))
-        return sum(read_uvarint(reply, 0)[0] for reply in replies.values())
-
-    def retract_subject(self, shard: int, subject: Term) -> int:
-        body = bytearray()
-        encode_term_into(body, subject)
-        self.mark_dirty((shard,))
-        return read_uvarint(self._rpc(shard, OP_RETRACT_SUBJECT, bytes(body)), 0)[0]
-
-    # -------------------------------------------------------------- #
     # observability
     # -------------------------------------------------------------- #
 
     def ping(self, shard: Optional[int] = None) -> Dict[int, dict]:
         """Heartbeat the workers; a hung worker fails the RPC deadline."""
         shards = range(self.num_shards) if shard is None else (shard,)
-        replies = self.scatter([(index, OP_PING, b"") for index in shards])
-        return {index: decode_json(replies[index]) for index in shards}
+        return self._run({index: ("ping", ()) for index in shards})
 
     def health(self) -> dict:
         """Per-shard supervision state, without touching the workers."""
@@ -1271,26 +986,9 @@ class ProcessShardBackend(ShardBackend):
             "quarantined_batches": self.quarantined,
         }
 
-    def worker_stats(self, shard: int) -> dict:
-        return decode_json(self._rpc(shard, OP_STATS))
-
-    def shard_stats(self) -> List[dict]:
-        replies = self._broadcast(OP_STATS)
-        return [decode_json(replies[shard]) for shard in range(self.num_shards)]
-
     def _load(self, shard: int) -> Tuple[int, float]:
         worker = self.workers[shard]
         return (1 if worker.inflight is not None else 0), worker.last_batch_latency
-
-    def dump_graph(self, shard: int) -> Graph:
-        return restore_graph(decode_graph_body(self._rpc(shard, OP_DUMP)))
-
-    def dump_graphs(self) -> List[Graph]:
-        replies = self._broadcast(OP_DUMP)
-        return [
-            restore_graph(decode_graph_body(replies[shard]))
-            for shard in range(self.num_shards)
-        ]
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -1304,9 +1002,6 @@ class ProcessShardBackend(ShardBackend):
 
     def commit(self) -> None:
         """Nothing to do here: each worker commits its own log per op."""
-
-    def checkpoint_all(self) -> None:
-        self._broadcast(OP_CHECKPOINT)
 
     def _kill_workers(self) -> None:
         """Simulated crash (tests): workers die without flushing buffers."""

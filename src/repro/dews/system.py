@@ -470,7 +470,7 @@ class DroughtEarlyWarningSystem:
     def close(self) -> None:
         """Release the middleware's owned resources (idempotent).
 
-        Graceful shutdown of worker pools / shard worker processes and the
+        Graceful shutdown of the shard worker processes and the
         persistence layer; see :meth:`SemanticMiddleware.close`.
         """
         self.middleware.close()

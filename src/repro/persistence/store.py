@@ -420,11 +420,6 @@ class StorePersistence:
                 rolled += 1
         return rolled
 
-    def checkpoint_all(self) -> None:
-        """Force a checkpoint of every shard."""
-        for shard in self.shards:
-            shard.checkpoint()
-
     def close(self) -> None:
         """Graceful shutdown of every shard."""
         for shard in self.shards:

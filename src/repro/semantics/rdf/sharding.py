@@ -214,9 +214,7 @@ class ShardedGraphStore:
 
         return federated_query(self.graphs, text)
 
-    def register_standing(
-        self, text: str, name: Optional[str] = None, seeds: Optional[list] = None
-    ) -> list:
+    def register_standing(self, text: str, name: Optional[str] = None) -> list:
         """Register ``text`` as a per-partition standing view on every shard.
 
         The federated serving path then maintains one materialized view per
@@ -226,20 +224,13 @@ class ShardedGraphStore:
         the federator's modifier-stripped rewrite (and its marker cache
         key), so :meth:`query` picks them up without any change; ASK views
         are registered under the plain text the per-shard short-circuit
-        uses.  ``seeds`` optionally carries one recovered row mapping per
-        shard (``None`` entries re-materialize).  Returns the per-shard
-        views.
+        uses.  Returns the per-shard views.
         """
         federated = len(self.graphs) > 1
-        views = []
-        for index, shard in enumerate(self.graphs):
-            seed = seeds[index] if seeds is not None else None
-            views.append(
-                register_shard_view(
-                    shard, text, name=name, federated=federated, seed=seed
-                )
-            )
-        return views
+        return [
+            register_shard_view(shard, text, name=name, federated=federated)
+            for shard in self.graphs
+        ]
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -44,7 +44,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.term import Term, Variable
@@ -765,6 +765,55 @@ def merge_federated_solutions(
     )
 
 
+def federate(
+    text: str,
+    anchor_graph: Graph,
+    partitions: Sequence,
+    ask: Callable[[object], bool],
+    gather: Callable[[], Sequence[Tuple[List[Variable], List[Bindings]]]],
+    missing: Callable[[], Tuple[int, ...]] = tuple,
+) -> QueryResult:
+    """Answer ``text`` from partitions reached through two callables.
+
+    The one scatter-gather every layout runs: ``ask(partition)`` is one
+    partition's ASK answer — probed sequentially, so a hit short-circuits
+    the rest — and ``gather()`` is every partition's
+    :func:`federated_partition_solutions`, merged by
+    :func:`merge_federated_solutions`.  How a partition is reached (a
+    graph in hand, a :class:`~repro.core.shard.Shard` called directly, a
+    worker process behind a pipe) is the caller's business.  ``missing()``
+    names the partitions that sat the query out; a result that lacks any
+    is stamped ``degraded``.  ``anchor_graph`` supplies the parse cache and
+    term-comparison context, never solutions.
+    """
+    parsed = planner_for(anchor_graph)._parse(text)
+    if parsed.form == "ASK":
+        hit = any(ask(partition) for partition in partitions)
+        result = QueryResult("ASK", [EMPTY_BINDINGS] if hit else [], [])
+    else:
+        # every partition evaluates a SELECT * variant — no projection
+        # hiding, no DISTINCT, no ORDER/LIMIT/OFFSET — so the merge sees
+        # full solution mappings, where set union is *exactly* the oracle's
+        # semantics (see _merge_solution_sets); a per-shard cutoff could
+        # also drop globally-surviving rows.  The rewritten plan and its
+        # unbounded result set are cached per shard under the marker key,
+        # preserving the untouched-partition cache hits that make federated
+        # serving cheap.  Projection (with oracle row multiplicities),
+        # DISTINCT, ordering and cutoffs are then applied once, globally.
+        gathered = gather()
+        result = merge_federated_solutions(
+            parsed,
+            [solutions for _variables, solutions in gathered],
+            gathered[-1][0],
+            anchor_graph,
+        )
+    absent = tuple(missing())
+    if absent:
+        result.degraded = True
+        result.missing_shards = absent
+    return result
+
+
 def federated_query(graphs: Sequence[Graph], text: str) -> QueryResult:
     """Scatter ``text`` across partition graphs and gather one result.
 
@@ -786,7 +835,9 @@ def federated_query(graphs: Sequence[Graph], text: str) -> QueryResult:
     projection (preserving row multiplicities), DISTINCT, ORDER BY (the
     single-graph projection's own sort key), LIMIT and OFFSET are applied
     once, globally, after the merge.  ASK short-circuits on the first
-    partition with a match.
+    partition with a match.  One graph is not a federation: its planner
+    answers directly, with no merge step — the oracle the rest is tested
+    against.
     """
     graphs = list(graphs)
     if not graphs:
@@ -794,29 +845,10 @@ def federated_query(graphs: Sequence[Graph], text: str) -> QueryResult:
     if len(graphs) == 1:
         graph = graphs[0]
         return planner_for(graph).query(graph, text)
-
-    parsed = planner_for(graphs[0])._parse(text)
-
-    if parsed.form == "ASK":
-        for graph in graphs:
-            result = planner_for(graph).query(graph, text)
-            if result.ask:
-                return result
-        return QueryResult("ASK", [], [])
-
-    # SELECT: every partition evaluates a SELECT * variant — no projection
-    # hiding, no DISTINCT, no ORDER/LIMIT/OFFSET — so the merge sees full
-    # solution mappings, where set union is *exactly* the oracle's
-    # semantics (see _merge_solution_sets); a per-shard cutoff could also
-    # drop globally-surviving rows.  The rewritten plan and its unbounded
-    # result set are cached per shard under the marker key, preserving the
-    # untouched-partition cache hits that make federated serving cheap.
-    # Projection (with oracle row multiplicities), DISTINCT, ordering and
-    # cutoffs are then applied once, globally.
-    per_graph: List[List[Bindings]] = []
-    full_variables: List[Variable] = []
-    for graph in graphs:
-        variables, solutions = federated_partition_solutions(graph, text)
-        per_graph.append(solutions)
-        full_variables = variables
-    return merge_federated_solutions(parsed, per_graph, full_variables, graphs[0])
+    return federate(
+        text,
+        graphs[0],
+        graphs,
+        ask=lambda graph: planner_for(graph).query(graph, text).ask,
+        gather=lambda: [federated_partition_solutions(graph, text) for graph in graphs],
+    )

@@ -17,19 +17,27 @@ from __future__ import annotations
 import os
 import random
 import signal
+import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
+from repro.core.shard import Shard
 from repro.core.shard_backend import resolve_shard_backend
+from repro.core.shard_router import ShardRouter
+from repro.core.shard_wire import OP_TABLE, OPS, OPS_BY_OPCODE
 from repro.dews.system import DewsConfig, DroughtEarlyWarningSystem
 from repro.ontologies.library import build_unified_ontology
+from repro.ontologies.vocabulary import AFRICRID
 from repro.semantics.rdf.term import BlankNode
+from repro.semantics.rules import InferenceTrace
+from repro.semantics.sparql import planner
 from repro.workloads.scenario import build_free_state_scenario
 
-from test_sharding import QUERIES, event_key, make_stream, solution_set
+from test_sharding import DISTRICTS, QUERIES, event_key, make_stream, solution_set
 
 VIEW_QUERY = """SELECT ?obs ?v WHERE {
     ?obs rdf:type ssn:Observation .
@@ -428,14 +436,128 @@ def test_shard_statistics_shape():
         single.close()
 
 
+# --------------------------------------------------------------------- #
+# the op table
+# --------------------------------------------------------------------- #
+
+#: what a shard that holds nothing answers, per op (stats / ping / dump
+#: are checked field by field below)
+DOCUMENTED_EMPTY = {
+    "ingest": 0,
+    "reason": None,
+    "query_ask": False,
+    "query_full": ([], []),
+    "register_view": {"rows": 0, "seeded": False},
+    "refresh_views": [],
+    "view_rows": ([], []),
+    "materialize": InferenceTrace(),
+    "replicate": 0,
+    "retract": 0,
+    "checkpoint": None,
+    "ping": {"pid": None, "triples": 0, "tripped": True},
+}
+
+
+def test_op_table_is_complete_and_round_trips():
+    # one row per op, one op per opcode
+    assert len(OP_TABLE) == len(OPS) == len(OPS_BY_OPCODE)
+    # the rows are exactly the Shard methods a backend runs: every public
+    # method but ``attach`` (the durable segment is handed over in-process,
+    # at construction — it cannot cross a pipe)
+    public = {
+        name
+        for name, member in vars(Shard).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert set(OPS) == public - {"attach"}
+
+    # representative values: a mediated make_stream batch and the terms of
+    # the graph it was ingested into
+    with build(1, "inline") as middleware:
+        layer = middleware.ontology_layer
+        records = make_stream(random.Random(31), 40)
+        outcomes = [layer.mediator.mediate(record) for record in records]
+        pairs = [
+            (outcome.observation, index)
+            for index, outcome in enumerate(outcomes, start=1)
+            if outcome.resolved
+        ]
+        assert len(pairs) > 20
+        shard = layer._backend.shards[0]
+        assert shard.ingest(pairs) > 0
+        view = shard.register_view(VIEW_QUERY, name="vals", federated=True)
+        variables, rows = shard.view_rows(VIEW_QUERY)
+        assert len(rows) > 10
+        everything = list(shard.graph)
+        triples = everything[:: len(everything) // 12]  # axioms and annotations
+        samples = {
+            "ingest": ((pairs,), 7),
+            "reason": ((), None),
+            "query_ask": ((QUERIES[-1], True), True),
+            "query_full": ((VIEW_QUERY, False), shard.query_full(VIEW_QUERY)),
+            "register_view": ((VIEW_QUERY, "vals", True), view),
+            "refresh_views": (
+                (),
+                [(VIEW_QUERY, False, variables, rows[:3], rows[3:5]),
+                 ("other", True, variables, [], rows[:1])],
+            ),
+            "view_rows": ((VIEW_QUERY,), (variables, rows)),
+            "stats": ((), shard.stats()),
+            "materialize": ((True,), InferenceTrace(2, 5, {"rdfs9": 3, "rdfs7": 2})),
+            "replicate": ((triples,), len(triples)),
+            "retract": ((triples[0].subject,), 4),
+            "dump": ((), shard.graph),
+            "checkpoint": ((), None),
+            "ping": ((), shard.ping()),
+        }
+        assert set(samples) == set(OPS)
+        for name, (args, result) in samples.items():
+            op = OPS[name]
+            assert op.request.decode(op.request.encode(*args)) == args, name
+            decoded = op.reply.decode(op.reply.encode(result))
+            if name == "register_view":
+                # the view stays with its shard; its size and seeding travel
+                assert decoded == {"rows": len(rows), "seeded": False}
+            elif name == "dump":
+                assert Counter(map(_canonical_triple, decoded)) == Counter(
+                    map(_canonical_triple, result)
+                )
+            else:
+                assert decoded == result, name
+
+    for name, op in OPS.items():
+        empty = op.reply.decode(op.empty)
+        if name == "stats":
+            assert empty["tripped"] and empty["triples"] == 0 and empty["views"] == []
+            assert empty["planner"] == asdict(planner.PlannerStatistics())
+        elif name == "dump":
+            assert len(empty) == 0
+        else:
+            assert empty == DOCUMENTED_EMPTY[name], name
+
+
 LAYOUTS = [(1, "inline"), (3, "inline"), (3, "process")]
 
 
+OPTIONAL_ORDERED_QUERY = """SELECT DISTINCT ?obs ?p WHERE {
+    ?obs rdf:type ssn:Observation .
+    OPTIONAL { ?obs ssn:observedProperty ?p }
+} ORDER BY ?obs LIMIT 15"""
+
+
 @pytest.mark.parametrize("shards, backend", LAYOUTS)
-def test_one_shape_on_every_layout(shards, backend, tmp_path):
+def test_one_shape_on_every_layout(shards, backend, tmp_path, monkeypatch):
     """One ``Shard``, two transports: every layout reports the same shape,
-    counts the same receipts and builds the same graphs record- or
-    batch-major."""
+    counts the same receipts, builds the same graphs record- or batch-major
+    and answers through the one federator."""
+    merges = []
+    merge = planner.merge_federated_solutions
+
+    def recording(*args, **kwargs):
+        merges.append(sys._getframe(1).f_code.co_name)
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "merge_federated_solutions", recording)
     records = make_stream(random.Random(23), 90)
     reference = build(1, "inline")
     by_batch = build(shards, backend, data_dir=str(tmp_path / "data"))
@@ -459,6 +581,32 @@ def test_one_shape_on_every_layout(shards, backend, tmp_path):
         assert graph_bags(by_record.ontology_layer) == graph_bags(
             by_batch.ontology_layer
         )
+
+        # one federator: an ASK only the last shard can answer and a SELECT
+        # through every solution modifier, asserted and entailed, are
+        # bag-equal to the one-shard answer — merged by the same function
+        # on both sharded layouts, not merged at all on one shard
+        last = [
+            district
+            for district in DISTRICTS
+            if ShardRouter(shards).shard_for(district) == shards - 1
+        ]
+        ask_last = (
+            "ASK WHERE { ?obs ssn:featureOfInterest "
+            f"<{AFRICRID[f'feature/{last[0]}'].value}> }}"
+        )
+        for entail in (False, True):
+            assert by_batch.query(ask_last, entail=entail).ask
+            assert reference.query(ask_last, entail=entail).ask
+            assert not by_batch.query(
+                ask_last.replace(last[0], "nowhere"), entail=entail
+            ).ask
+            answer = by_batch.query(OPTIONAL_ORDERED_QUERY, entail=entail)
+            assert len(answer) == 15
+            assert solution_set(answer) == solution_set(
+                reference.query(OPTIONAL_ORDERED_QUERY, entail=entail)
+            )
+        assert set(merges) == ({"federate"} if shards > 1 else set())
 
         layer = by_batch.ontology_layer
         reference_layer = reference.ontology_layer

@@ -559,9 +559,12 @@ class TestRoutedQueryPaths:
         assert sorted(result.scalars) == [EX.s1.value, EX.s2.value]
 
     def test_ontology_layer_query_routes_through_shared_planner(self):
+        from repro.core.config import MiddlewareConfig
         from repro.core.ontology_layer import OntologySegmentLayer
 
-        layer = OntologySegmentLayer(annotate=False)
+        layer = OntologySegmentLayer(
+            config=MiddlewareConfig(annotate_observations=False)
+        )
         text = "SELECT ?c WHERE { ?c rdfs:subClassOf owl:Thing . }"
         before = layer.query_planner.statistics.queries
         layer.query(text)

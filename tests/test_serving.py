@@ -565,6 +565,57 @@ class TestGatewayCacheTokenStaysInProcess:
             assert OP_DUMP not in opcodes
 
 
+class TestStatisticsViewSectionIsOneRound:
+    def test_process_backend_statistics_sends_one_stats_per_shard(self):
+        """``statistics()["standing_views"]`` is one ``stats`` round — every
+        shard answers for all of its views at once (it used to be one RPC
+        per view handle per counter: O(views x shards))."""
+        from repro.core.shard_wire import OP_STATS
+
+        queries = [
+            OBSERVATION_QUERY,
+            "SELECT ?s WHERE { ?s rdf:type ik:IndicatorSighting }",
+            "ASK WHERE { ?obs rdf:type ssn:Observation }",
+        ]
+        batches = [
+            [record(value=10.0 + i, timestamp=3600.0 * (i + 1)) for i in range(6)],
+            [record(value=30.0 + i, timestamp=90_000.0 + i) for i in range(4)],
+        ]
+
+        def drive(backend):
+            mw = SemanticMiddleware(
+                library=build_unified_ontology(materialize=True),
+                config=MiddlewareConfig(
+                    shards=3, shard_backend=backend, broker_latency=0.0
+                ),
+            )
+            for index, text in enumerate(queries):
+                mw.register_standing(text, name=f"view-{index}", push=True)
+            for batch in batches:
+                mw.ingest_batch(batch)
+            return mw
+
+        with drive("inline") as inline, drive("process") as proc:
+            backend = proc.ontology_layer._backend
+            opcodes = []
+            scatter = backend.scatter
+
+            def recording(requests):
+                requests = list(requests)
+                opcodes.extend(opcode for _, opcode, _ in requests)
+                return scatter(requests)
+
+            backend.scatter = recording
+            views = proc.ontology_layer.standing_view_statistics()
+            assert opcodes == [OP_STATS] * 3
+            assert len(views["views"]) == len(queries) * 3
+            expected = inline.statistics()["standing_views"]
+            assert expected["delta_updates"] > 0
+            for key in ("delta_updates", "full_refreshes"):
+                assert views[key] == expected[key]
+                assert proc.statistics()["standing_views"][key] == expected[key]
+
+
 class TestGatewayRateLimit:
     def test_429_per_client_with_retry_after(self, library):
         with SemanticMiddleware(

@@ -245,25 +245,6 @@ def test_sharded_reason_per_batch_matches_single():
         ), query_text
 
 
-def test_sharded_inline_workers_equivalent():
-    """shard_workers=0 (no thread pool) must behave identically."""
-    rng = random.Random(13)
-    batch = make_stream(rng, 80)
-    pooled = build_middleware(shards=4, cep_per_record=False)
-    inline = build_middleware(shards=4, cep_per_record=False, shard_workers=0)
-    assert inline.ontology_layer._executor is None
-    events_pooled = pooled.ingest_batch(batch)
-    events_inline = inline.ingest_batch(batch)
-    assert [event_key(e) for e in events_pooled] == [event_key(e) for e in events_inline]
-    for query_text in QUERIES[:3]:
-        assert solution_set(pooled.query(query_text)) == solution_set(
-            inline.query(query_text)
-        )
-    pooled.close()  # facade delegates to the layer's pool shutdown
-    pooled.ontology_layer.close()  # idempotent
-    inline.close()  # no-op without a pool
-
-
 # --------------------------------------------------------------------- #
 # router and store units
 # --------------------------------------------------------------------- #
@@ -563,10 +544,9 @@ def test_one_shard_store_is_the_unsharded_layer():
     assert not layer.sharded
     assert layer.sharding_statistics() is None
     assert "sharding" not in middleware.statistics()
-    # the one shard adopts (not copies) the library graph, without a pool
+    # the one shard adopts (not copies) the library graph
     assert layer.store.num_shards == 1
     assert layer.graphs[0] is layer.library.graph is middleware.graph
-    assert layer._executor is None
     middleware.ingest_batch(make_stream(random.Random(9), 40))
     # it answers through its planner with no merge step: one planner query
     # per layer query, served from the result cache when repeated
