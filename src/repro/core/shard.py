@@ -116,7 +116,9 @@ class Shard:
         return planner_for(self.graph).query(self.graph, text).ask
 
     def query_full(self, text: str, entail: bool = False) -> Tuple[List, List[Bindings]]:
-        """This partition's full (pre-projection) solutions to a SELECT."""
+        """This partition's rows for a federated SELECT: full solutions, or
+        distinct projections under the DISTINCT push-down (the planner's
+        ``federated_variant`` decides)."""
         if entail:
             self.reason()
         return federated_partition_solutions(self.graph, text)

@@ -46,6 +46,18 @@ Fault injection (hangs, crashes, WAL errors — :mod:`repro.core.faults`)
 is armed parent-side and shipped as one-shot ``OP_FAULT`` directives so
 it stays deterministic across respawns.
 
+A worker's heap is its partition: it only grows, and nearly all of it
+stays reachable.  Left to its defaults the cyclic collector walks that
+whole heap every time the young generations have promoted a quarter as
+much again, finds nothing, and stalls whichever request it lands on for a
+pause that grows with the graph (tens of milliseconds at 10^5 objects).
+So a worker parks what it holds in the permanent generation
+(``gc.freeze``) — at start-up, where that also keeps the pages forked from
+the parent shared, and after each checkpoint, the one step that is
+already O(heap) and takes the full collection with it
+(:func:`_settle_heap`).  Collections between checkpoints then walk only
+what arrived since the last one.
+
 Workers exit with ``os._exit`` in every path.  A forked child inherits
 the parent's open WAL buffers for *other* layers; running interpreter
 shutdown in the child would flush those buffers and corrupt logs the
@@ -54,6 +66,7 @@ child does not own, so the worker never runs ``atexit``/GC finalisers.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import os
@@ -131,6 +144,7 @@ class _ShardWorker(Shard):
         wal = self.persistence.wal
         if wal is not None and wal.records >= self.snapshot_interval:
             self.persistence.checkpoint()
+            _settle_heap()
 
     def dispatch(self, opcode: int, body: bytes) -> bytes:
         op = OPS_BY_OPCODE.get(opcode)
@@ -159,6 +173,14 @@ class _ShardWorker(Shard):
              delta.added, delta.removed)
             for text, delta in drained
         ]
+
+
+def _settle_heap() -> None:
+    """One full collection now, then none over the survivors until the
+    next call (see the module docstring)."""
+    gc.unfreeze()
+    gc.collect()
+    gc.freeze()
 
 
 def _worker_main(
@@ -195,6 +217,7 @@ def _worker_main(
         elif persistence is not None:
             persistence.attach(graph)
         worker = _ShardWorker(graph, knowledge_base, persistence, snapshot_interval)
+        gc.freeze()
         conn.send_bytes(
             frame(
                 OP_HELLO,

@@ -446,6 +446,20 @@ class Graph:
                     for obj in _bucket_iter(bucket):
                         yield (subj, pred, obj)
 
+    def indexes(self) -> Tuple[Index, Index, Index]:
+        """The ``(SPO, POS, OSP)`` permutation indexes, to be read only.
+
+        Each is ``{id: {id: bucket}}`` as laid out in the module docstring
+        (a bucket is a bare id or a set of ids).  The one caller is the
+        compiled join kernel (:mod:`repro.semantics.sparql.kernel`), whose
+        generated loops walk them exactly as :meth:`triples_ids` does but
+        without a generator per pattern.  Mutating them corrupts the
+        graph's statistics, journals and trackers; use :meth:`add` /
+        :meth:`remove`.  As with :meth:`triples_ids`, a graph must not be
+        mutated while a walk over its indexes is suspended.
+        """
+        return self._spo, self._pos, self._osp
+
     def contains_ids(self, triple_ids: TripleIds) -> bool:
         """Encoded membership test."""
         s, p, o = triple_ids

@@ -25,7 +25,9 @@ cost-based planner and caches, and the decoded *full* solution mappings
 are set-unioned — exact at that level, since identical cross-partition
 mappings can only stand on the replicated axioms — before projection and
 solution modifiers apply globally, so in-contract results match the
-single-graph oracle row for row including duplicate multiplicities.  Each
+single-graph oracle row for row including duplicate multiplicities (a
+``SELECT DISTINCT`` without OPTIONAL ships its distinct projected rows
+instead; the global DISTINCT makes that the same answer).  Each
 gathered solution is derived entirely from one partition's triples —
 axioms plus that area's annotations — so joins *across* different areas'
 instance data must either be area-constrained or run against
@@ -59,16 +61,19 @@ def register_shard_view(
     """Register one partition's standing view for ``text`` on ``graph``.
 
     ``federated`` selects the cache key the federator will hit: SELECT
-    views register the modifier-stripped rewrite under the federated
-    marker key, ASK views (and non-federated single-shard views) register
-    under the plain text.  ``seed`` is a recovered ``base -> rows``
+    views register the full-row
+    :func:`~repro.semantics.sparql.planner.federated_variant` under the
+    federated marker key, ASK views (and non-federated single-shard views)
+    register under the plain text.  ``seed`` is a recovered ``base -> rows``
     mapping that skips the initial materialization.  This is the
     single-graph half of :meth:`ShardedGraphStore.register_standing`,
     split out so a process backend can run it inside a shard worker.
     """
-    from dataclasses import replace
-
-    from repro.semantics.sparql.planner import _FEDERATED_KEY_PREFIX, planner_for
+    from repro.semantics.sparql.planner import (
+        _FEDERATED_KEY_PREFIX,
+        federated_variant,
+        planner_for,
+    )
 
     planner = planner_for(graph)
     if not federated:
@@ -76,19 +81,10 @@ def register_shard_view(
     parsed = planner._parse(text)
     if parsed.form == "ASK":
         return planner.register_standing(graph, text, parsed=parsed, name=name, seed=seed)
-    full = replace(
-        parsed,
-        variables=[],
-        distinct=False,
-        order_by=None,
-        descending=False,
-        limit=None,
-        offset=0,
-    )
     return planner.register_standing(
         graph,
         text,
-        parsed=full,
+        parsed=federated_variant(parsed, standing=True),
         cache_text=_FEDERATED_KEY_PREFIX + text,
         name=name,
         seed=seed,
@@ -221,8 +217,8 @@ class ShardedGraphStore:
         partition: a write to one district folds its delta into that
         district's view only, while every untouched partition answers from
         its unchanged materialization.  SELECT views are registered under
-        the federator's modifier-stripped rewrite (and its marker cache
-        key), so :meth:`query` picks them up without any change; ASK views
+        the federator's full-row rewrite (and its marker cache key), so
+        :meth:`query` picks them up without any change; ASK views
         are registered under the plain text the per-shard short-circuit
         uses.  Returns the per-shard views.
         """

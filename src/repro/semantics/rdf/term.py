@@ -137,7 +137,8 @@ class Literal(Term):
     the query FILTER evaluation and the CEP engine use for comparisons.
     """
 
-    __slots__ = ("lexical", "datatype", "lang", "_hash")
+    # ``_value`` memoises to_python(); it is left unset until first asked
+    __slots__ = ("lexical", "datatype", "lang", "_hash", "_value")
     _ORDER = 2
 
     def __init__(
@@ -201,7 +202,19 @@ class Literal(Term):
         return f'"{escaped}"'
 
     def to_python(self) -> Union[str, int, float, bool]:
-        """Convert the literal to the closest native Python value."""
+        """Convert the literal to the closest native Python value.
+
+        Parsed once per literal: a term interned in a graph's dictionary
+        is compared by every FILTER evaluation that reaches it.
+        """
+        try:
+            return self._value
+        except AttributeError:
+            value = self._parse()
+            object.__setattr__(self, "_value", value)
+            return value
+
+    def _parse(self) -> Union[str, int, float, bool]:
         if self.datatype == XSD_BOOLEAN:
             return self.lexical.strip().lower() in ("true", "1")
         if self.datatype == XSD_INTEGER:

@@ -68,6 +68,20 @@ class Rule:
                     raise ValueError(
                         f"rule {self.name!r}: head variable {v} not bound in body"
                     )
+        # the join operators of this rule — the whole body, and the body
+        # minus each seed atom — are kept, because the prepared joins live
+        # on them and the incremental engine seeds the same ones thousands
+        # of times per batch
+        self._joins: Dict[tuple, BGP] = {}
+
+    def _join(self, skip: Optional[int], use_ids: bool) -> BGP:
+        """The body's join, without atom ``skip`` when seeding from it."""
+        join = self._joins.get((skip, use_ids))
+        if join is None:
+            join = self._joins[(skip, use_ids)] = BGP(
+                [p for i, p in enumerate(self.body) if i != skip], use_ids=use_ids
+            )
+        return join
 
     def body_predicates(self) -> Optional[FrozenSet[Term]]:
         """The ground predicates of the body atoms, for delta indexing.
@@ -91,9 +105,7 @@ class Rule:
         for the decoded-object join, the equivalence oracle.
         """
         derived: Set[Triple] = set()
-        self._instantiate(
-            BGP(list(self.body), use_ids=use_ids).solutions(graph), derived
-        )
+        self._instantiate(self._join(None, use_ids).solutions(graph), derived)
         return derived
 
     def derive_delta(self, graph: Graph, delta: Graph, use_ids: bool = True) -> Set[Triple]:
@@ -108,9 +120,7 @@ class Rule:
         """
         derived: Set[Triple] = set()
         for index, seed_pattern in enumerate(self.body):
-            rest = BGP(
-                [p for i, p in enumerate(self.body) if i != index], use_ids=use_ids
-            )
+            rest = self._join(index, use_ids)
             allowed = self._allowed_predicates(graph, index)
             for triple in delta.triples(tuple(seed_pattern)):
                 if allowed is not None and triple.predicate not in allowed:

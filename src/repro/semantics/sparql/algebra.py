@@ -9,7 +9,7 @@ the scale the middleware needs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.term import Literal, Term, Variable
@@ -19,159 +19,9 @@ from repro.semantics.sparql.bindings import (
     Bindings,
     bindings_from_mapping,
 )
+from repro.semantics.sparql.kernel import FILTER_ERRORS, PreparedJoin, TermTest
 
 FilterFunction = Callable[[Bindings], bool]
-
-#: One position of an id-encoded pattern: a ground term id or a variable.
-EncodedEntry = Union[int, Variable]
-EncodedPattern = Tuple[EncodedEntry, EncodedEntry, EncodedEntry]
-
-
-# --------------------------------------------------------------------- #
-# id-space join machinery (shared by BGP and the planner's PlannedBGP)
-# --------------------------------------------------------------------- #
-
-def encode_bgp_patterns(
-    graph: Graph, patterns: Sequence[Triple]
-) -> Optional[List[EncodedPattern]]:
-    """Encode pattern terms against the graph's dictionary.
-
-    Ground terms become ids (looked up, never interned); variables pass
-    through.  Returns ``None`` when any ground term is unknown to the
-    dictionary — no stored triple can match such a conjunction, so the
-    caller yields nothing.
-    """
-    lookup = graph.dictionary.lookup
-    encoded: List[EncodedPattern] = []
-    for pattern in patterns:
-        row = []
-        for term in pattern:
-            if isinstance(term, Variable):
-                row.append(term)
-            else:
-                term_id = lookup(term)
-                if term_id is None:
-                    return None
-                row.append(term_id)
-        encoded.append((row[0], row[1], row[2]))
-    return encoded
-
-
-def encode_initial_bindings(
-    graph: Graph, bindings: Bindings, pattern_vars: set
-) -> Optional[Tuple[Dict[Variable, int], Dict[Variable, Term]]]:
-    """Split an initial solution mapping for an id-space join.
-
-    Variables the conjunction mentions are encoded to ids (a binding to a
-    term the dictionary has never seen can match nothing: ``None`` is
-    returned and the join yields no solutions); variables the conjunction
-    never touches are kept decoded and re-attached verbatim to every
-    produced solution.
-    """
-    lookup = graph.dictionary.lookup
-    bound: Dict[Variable, int] = {}
-    passthrough: Dict[Variable, Term] = {}
-    for var, term in bindings.items():
-        if var in pattern_vars:
-            term_id = lookup(term)
-            if term_id is None:
-                return None
-            bound[var] = term_id
-        else:
-            passthrough[var] = term
-    return bound, passthrough
-
-
-def _free_positions(pattern: EncodedPattern, bound: Dict[Variable, int]) -> int:
-    count = 0
-    for entry in pattern:
-        if entry.__class__ is not int and entry not in bound:
-            count += 1
-    return count
-
-
-def match_encoded(
-    graph: Graph,
-    remaining: List[EncodedPattern],
-    bound: Dict[Variable, int],
-    step_filters: Optional[List[List]] = None,
-) -> Iterator[Dict[Variable, int]]:
-    """Join encoded patterns over the graph's int indexes.
-
-    The one id-space join loop shared by :class:`BGP` (dynamic order: most
-    selective pattern first, fewest unbound positions under the current
-    ``bound``) and the planner's ``PlannedBGP`` (``step_filters`` given:
-    patterns are joined in the planner's fixed order, and each step's
-    pushed-down ``(variable, predicate)`` filters run the moment a
-    candidate extends the binding, decoding only that one variable).
-
-    Yields the *same* ``bound`` dictionary at every solution, mutated in
-    place between yields — consumers must copy or decode it before
-    advancing the generator.  Binding, probing and the repeated-variable
-    consistency check are all integer operations.
-    """
-    if not remaining:
-        yield bound
-        return
-    if step_filters is None:
-        best_index = min(
-            range(len(remaining)), key=lambda i: _free_positions(remaining[i], bound)
-        )
-        pattern = remaining[best_index]
-        rest = remaining[:best_index] + remaining[best_index + 1:]
-        filters = None
-        rest_filters = None
-    else:
-        pattern = remaining[0]
-        rest = remaining[1:]
-        filters = step_filters[0]
-        rest_filters = step_filters[1:]
-    s, p, o = pattern
-    resolved_s = s if s.__class__ is int else bound.get(s)
-    resolved_p = p if p.__class__ is int else bound.get(p)
-    resolved_o = o if o.__class__ is int else bound.get(o)
-    get = bound.get
-    terms = graph.dictionary.terms if filters else None
-    # the three positions are unrolled (no zip/tuple iteration): this loop
-    # body runs once per join candidate and dominates BGP evaluation.  A
-    # position is "free" when its resolved id is None; a variable seen
-    # again later in the same pattern must re-bind to the same id.
-    for candidate in graph.triples_ids((resolved_s, resolved_p, resolved_o)):
-        newly: List[Variable] = []
-        consistent = True
-        if resolved_s is None:
-            current = get(s)
-            if current is None:
-                bound[s] = candidate[0]
-                newly.append(s)
-            elif current != candidate[0]:
-                consistent = False
-        if consistent and resolved_p is None:
-            current = get(p)
-            if current is None:
-                bound[p] = candidate[1]
-                newly.append(p)
-            elif current != candidate[1]:
-                consistent = False
-        if consistent and resolved_o is None:
-            current = get(o)
-            if current is None:
-                bound[o] = candidate[2]
-                newly.append(o)
-            elif current != candidate[2]:
-                consistent = False
-        if consistent and filters:
-            for filter_var, predicate in filters:
-                # the planner only pushes a filter to a step at which its
-                # variable is bound, so the lookup cannot miss
-                probe = bindings_from_mapping({filter_var: terms[bound[filter_var]]})
-                if not apply_filter(predicate, probe):
-                    consistent = False
-                    break
-        if consistent:
-            yield from match_encoded(graph, rest, bound, rest_filters)
-        for var in newly:
-            del bound[var]
 
 
 class Operator:
@@ -189,35 +39,125 @@ class Operator:
 def apply_filter(predicate: FilterFunction, solution: Bindings) -> bool:
     """Evaluate a FILTER predicate; an erroring predicate drops the solution.
 
-    Shared by :class:`Filter` and the planner's pushed-down per-join-step
-    filters so both placements have identical error semantics.
+    The join kernel applies pushed-down filters under the same contract
+    (:data:`~repro.semantics.sparql.kernel.FILTER_ERRORS`), so both
+    placements have identical error semantics.
     """
     try:
         return bool(predicate(solution))
-    except (TypeError, ValueError, KeyError):
+    except FILTER_ERRORS:
         return False
 
 
-class BGP(Operator):
+class TermFilter:
+    """A single-variable FILTER: a term-level test lifted to solutions.
+
+    Called with a solution mapping it behaves like any
+    :data:`FilterFunction`; a join that has pushed it down to the step
+    binding :attr:`variable` calls :attr:`test` on that one term instead,
+    without building a mapping.  ``test`` receives ``None`` for an unbound
+    variable.
+    """
+
+    __slots__ = ("variable", "test")
+
+    def __init__(self, variable: Variable, test: TermTest):
+        self.variable = variable
+        self.test = test
+
+    def __call__(self, bindings: Bindings) -> bool:
+        return self.test(bindings.get(self.variable))
+
+
+def term_test(variable: Variable, predicate: FilterFunction) -> TermTest:
+    """The term-level form of a filter pushed down to ``variable``'s step."""
+    if isinstance(predicate, TermFilter) and predicate.variable == variable:
+        return predicate.test
+    return lambda term: predicate(bindings_from_mapping({variable: term}))
+
+
+#: A FILTER pushed into a join step: the variable it constrains (bound at
+#: that step, by construction) plus the predicate itself.
+StepFilter = Tuple[Variable, FilterFunction]
+
+
+class IdJoin(Operator):
+    """A conjunction of triple patterns joined in id space.
+
+    The shared evaluation path of :class:`BGP` (``use_ids=True``) and the
+    planner's ``PlannedBGP``: a subclass says in which order its patterns
+    join under a given set of initially bound variables
+    (:meth:`_join_order`), and every evaluation runs the compiled kernel
+    of that order (:mod:`repro.semantics.sparql.kernel`).  The prepared
+    join is kept per bound-variable tuple, so the seeded
+    :meth:`solutions_from` calls of standing views and rules — thousands
+    per ingest batch — pay one dictionary probe here, not a compile.
+    """
+
+    def __init__(
+        self, patterns: Sequence[Triple], project: Optional[Sequence[Variable]] = None
+    ):
+        self.patterns = list(patterns)
+        #: ``None`` for full solutions; a variable list for the *distinct*
+        #: projections onto it, de-duplicated on ids before decode
+        self.project = project
+        self._prepared: Dict[Tuple[Variable, ...], PreparedJoin] = {}
+
+    def _join_order(
+        self, bound: Tuple[Variable, ...]
+    ) -> Tuple[Sequence[Triple], Optional[Sequence[Sequence[StepFilter]]]]:
+        """The patterns in join order, and each step's pushed-down filters."""
+        raise NotImplementedError
+
+    def solutions(self, graph: Graph) -> Iterator[Bindings]:
+        return self.solutions_from(graph, EMPTY_BINDINGS)
+
+    def solutions_from(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
+        """Solutions extending an initial partial solution mapping.
+
+        The entry point of semi-naive evaluation: a rule body atom (or a
+        view pattern) is matched against a delta triple first and the
+        resulting bindings seed the join of the remaining patterns.
+        """
+        if not self.patterns:
+            return iter((bindings,))
+        bound = tuple(bindings)
+        prepared = self._prepared.get(bound)
+        if prepared is None:
+            ordered, step_filters = self._join_order(bound)
+            prepared = self._prepared[bound] = PreparedJoin(
+                ordered,
+                step_filters
+                and [
+                    [(var, term_test(var, predicate)) for var, predicate in filters]
+                    for filters in step_filters
+                ],
+                bound,
+                self.project,
+            )
+        return prepared.solutions(graph, bindings)
+
+
+class BGP(IdJoin):
     """A basic graph pattern: a conjunction of triple patterns.
 
-    Patterns are reordered greedily at evaluation time so that the most
-    selective pattern (fewest wildcard positions, respecting already-bound
-    variables) is matched first.  This positional heuristic is the naive
-    baseline: the default query path instead compiles a
+    Patterns are joined most-selective first by a positional heuristic
+    (fewest unbound positions, respecting already-bound variables).  This
+    is the naive baseline: the default query path instead compiles a
     :class:`~repro.semantics.sparql.planner.PlannedBGP`, whose join order
     is chosen once from the graph's cardinality statistics.
 
     By default (``use_ids=True``) the join runs over the graph's
-    dictionary-encoded indexes: ground terms are resolved to integer ids
-    once per evaluation, variables bind to ids, and solutions are decoded
-    to terms only as they are yielded.  ``use_ids=False`` keeps the
-    original decoded-object join — the equivalence oracle, mirroring the
-    ``use_planner=False`` convention of the evaluator.
+    dictionary-encoded indexes through the compiled kernel
+    (:class:`IdJoin`): which positions are unbound at each step depends
+    only on *which* variables are bound, never on their values, so the
+    greedy order is fixed once per bound-variable tuple.  ``use_ids=False``
+    keeps the original decoded-object join — the equivalence oracle,
+    mirroring the ``use_planner=False`` convention of the evaluator.
     """
 
     def __init__(self, patterns: Sequence[Triple], use_ids: bool = True):
-        self.patterns = list(patterns)
+        super().__init__(patterns)
         self.use_ids = use_ids
 
     def variables(self) -> List[Variable]:
@@ -236,41 +176,22 @@ class BGP(Operator):
                 score += 1
         return score
 
-    def solutions(self, graph: Graph) -> Iterator[Bindings]:
-        yield from self.solutions_from(graph, EMPTY_BINDINGS)
+    def _join_order(self, bound):
+        remaining = list(self.patterns)
+        bound_vars = set(bound)
+        ordered: List[Triple] = []
+        while remaining:
+            # min() keeps the first of equally selective patterns
+            best = min(remaining, key=lambda p: self._selectivity(p, bound_vars))
+            remaining.remove(best)
+            ordered.append(best)
+            bound_vars.update(best.variables())
+        return ordered, None
 
     def solutions_from(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
-        """Solutions extending an initial partial solution mapping.
-
-        This is the join entry point the semi-naive rule engine uses: a
-        body atom is matched against a delta triple first and the
-        resulting bindings seed the join of the remaining atoms.
-        """
-        if not self.patterns:
-            yield bindings
-            return
-        if self.use_ids:
-            yield from self._solutions_from_ids(graph, bindings)
-        else:
-            yield from self._match(graph, list(self.patterns), bindings)
-
-    def _solutions_from_ids(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
-        encoded = encode_bgp_patterns(graph, self.patterns)
-        if encoded is None:
-            return
-        pattern_vars = {v for p in self.patterns for v in p.variables()}
-        split = encode_initial_bindings(graph, bindings, pattern_vars)
-        if split is None:
-            return
-        bound, passthrough = split
-        terms = graph.dictionary.terms
-        for solution in match_encoded(graph, encoded, bound):
-            mapping: Dict[Variable, Term] = {
-                var: terms[term_id] for var, term_id in solution.items()
-            }
-            if passthrough:
-                mapping.update(passthrough)
-            yield bindings_from_mapping(mapping)
+        if self.use_ids or not self.patterns:
+            return super().solutions_from(graph, bindings)
+        return self._match(graph, list(self.patterns), bindings)
 
     def _match(
         self, graph: Graph, remaining: List[Triple], bindings: Bindings
@@ -460,7 +381,7 @@ class Projection(Operator):
         yield from results
 
 
-def numeric_filter(var: Variable, op: str, value: float) -> FilterFunction:
+def numeric_filter(var: Variable, op: str, value: float) -> TermFilter:
     """Build a FILTER predicate comparing a numeric variable to a constant.
 
     ``op`` is one of ``< <= > >= = !=``.
@@ -480,8 +401,7 @@ def numeric_filter(var: Variable, op: str, value: float) -> FilterFunction:
         raise ValueError(f"unsupported comparison operator: {op!r}")
     compare = ops[op]
 
-    def predicate(bindings: Bindings) -> bool:
-        term = bindings.get(var)
+    def test(term: Optional[Term]) -> bool:
         if not isinstance(term, Literal):
             return False
         candidate = term.to_python()
@@ -489,4 +409,4 @@ def numeric_filter(var: Variable, op: str, value: float) -> FilterFunction:
             return False
         return compare(candidate, value)
 
-    return predicate
+    return TermFilter(var, test)

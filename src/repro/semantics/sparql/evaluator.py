@@ -9,7 +9,7 @@ which the randomized equivalence tests use as the correctness oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.namespace import RDF
@@ -21,6 +21,7 @@ from repro.semantics.sparql.algebra import (
     LeftJoin,
     Operator,
     Projection,
+    TermFilter,
     numeric_filter,
 )
 from repro.semantics.sparql.bindings import Bindings
@@ -140,13 +141,15 @@ def _build_bgp(patterns: Sequence[ParsedPattern], graph: Graph) -> BGP:
     return BGP(triples, use_ids=False)
 
 
-def _build_filter(flt: ParsedFilter, graph: Graph) -> Tuple[Variable, Callable[[Bindings], bool]]:
+def _build_filter(flt: ParsedFilter, graph: Graph) -> Tuple[Variable, TermFilter]:
     """Build a FILTER predicate, returning the variable it constrains.
 
     Shared with the planner, which uses the variable to decide where the
-    predicate can be pushed down to.  Values with proper numeric-literal
-    syntax become numeric comparisons; everything else resolves as a term
-    and supports (in)equality only.
+    predicate can be pushed down to — and, there, applies the
+    :class:`~repro.semantics.sparql.algebra.TermFilter`'s term-level test
+    to the one bound term.  Values with proper numeric-literal syntax
+    become numeric comparisons; everything else resolves as a term and
+    supports (in)equality only.
     """
     var = Variable(flt.variable)
     value_text = flt.value.strip()
@@ -154,16 +157,11 @@ def _build_filter(flt: ParsedFilter, graph: Graph) -> Tuple[Variable, Callable[[
     if numeric is not None:
         return var, numeric_filter(var, flt.op, numeric.to_python())
     target = _resolve_term(value_text, graph)
-
-    def equality(bindings: Bindings, _var=var, _target=target, _op=flt.op) -> bool:
-        bound = bindings.get(_var)
-        if _op in ("=", "=="):
-            return bound == _target
-        if _op == "!=":
-            return bound != _target
-        return False
-
-    return var, equality
+    if flt.op in ("=", "=="):
+        return var, TermFilter(var, lambda bound: bound == target)
+    if flt.op == "!=":
+        return var, TermFilter(var, lambda bound: bound != target)
+    return var, TermFilter(var, lambda bound: False)
 
 
 def _build_algebra(parsed: ParsedQuery, graph: Graph) -> Operator:
@@ -233,10 +231,11 @@ def federated_query(graphs: Sequence[Graph], text: str) -> QueryResult:
     Convenience entry point mirroring :func:`query` for sharded stores: the
     query is scattered to every partition (each evaluated through its own
     cost-based planner and version-keyed caches), the full solution
-    mappings are set-unioned (which collapses replicated-axiom copies and
-    nothing else), and projection / DISTINCT / ORDER BY / LIMIT / OFFSET
-    apply globally after the merge — in-contract results match the
-    single-graph oracle as a bag.  See
+    mappings — distinct projected rows, for a ``SELECT DISTINCT`` without
+    OPTIONAL — are set-unioned (which collapses replicated-axiom copies
+    and nothing the query did not ask to collapse), and projection /
+    DISTINCT / ORDER BY / LIMIT / OFFSET apply globally after the merge —
+    in-contract results match the single-graph oracle as a bag.  See
     :func:`repro.semantics.sparql.planner.federated_query` for the
     federation contract.
     """

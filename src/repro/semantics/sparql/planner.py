@@ -26,6 +26,13 @@ This module adds the missing cost model:
   bound by OPTIONAL blocks keep their SPARQL semantics: they stay above the
   left-join, exactly where the naive evaluator applies them.
 
+* **Compiled evaluation** — a :class:`PlannedBGP` runs its fixed order
+  through the generated nested-loop kernel of
+  :mod:`repro.semantics.sparql.kernel`; the planner keeps the compiled
+  functions by join *shape* (:meth:`QueryPlanner.kernel`), which no graph
+  mutation invalidates, and a ``SELECT DISTINCT`` over a bare BGP takes
+  its projection and DISTINCT in id space, before any row is decoded.
+
 * **Caching** — :class:`QueryPlanner` memoises plans and (optionally,
   bounded-LRU) full result sets keyed by query text; both are invalidated
   by the graph's monotonic :attr:`~repro.semantics.rdf.graph.Graph.version`
@@ -47,28 +54,24 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.term import Term, Variable
+from repro.semantics.rdf.term import Variable
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.sparql.algebra import (
     Filter,
     FilterFunction,
+    IdJoin,
     LeftJoin,
     Operator,
     Projection,
-    encode_bgp_patterns,
-    encode_initial_bindings,
-    match_encoded,
+    StepFilter,
 )
-from repro.semantics.sparql.bindings import (
-    EMPTY_BINDINGS,
-    Bindings,
-    bindings_from_mapping,
-)
+from repro.semantics.sparql.bindings import EMPTY_BINDINGS, Bindings
 from repro.semantics.sparql.evaluator import (
     QueryResult,
     _build_filter,
     _resolve_term,
 )
+from repro.semantics.sparql.kernel import Kernel, Shape, compile_kernel
 from repro.semantics.sparql.parser import ParsedPattern, ParsedQuery, parse_query
 
 
@@ -142,26 +145,22 @@ def order_patterns(
 # the planned BGP operator
 # --------------------------------------------------------------------- #
 
-#: A FILTER pushed into a join step: the variable it constrains (already
-#: bound at that step, by construction) plus the predicate itself.
-StepFilter = Tuple[Variable, FilterFunction]
-
-
-class PlannedBGP(Operator):
+class PlannedBGP(IdJoin):
     """A basic graph pattern evaluated in a fixed pre-planned join order.
 
     Unlike :class:`~repro.semantics.sparql.algebra.BGP` there is no
-    per-step reordering: the planner has already fixed the order from the
-    graph's cardinality statistics.  Each join step can carry pushed-down
-    FILTER predicates that are applied the moment their variable is bound,
-    before the partial solution fans out into deeper steps.
+    reordering: the planner has already fixed the order from the graph's
+    cardinality statistics.  Each join step can carry pushed-down FILTER
+    predicates that are applied the moment their variable is bound, before
+    the partial solution fans out into deeper steps.
 
-    The join itself runs in id space: ground pattern terms are resolved to
-    dictionary ids once per evaluation, variables bind to ids, and every
-    probe / extension / consistency check is an integer operation.  A
-    pushed-down filter decodes exactly the one variable it constrains (the
-    parser's FILTER syntax is single-variable); full solutions are decoded
-    to terms only as they leave the operator.
+    The join runs in id space through the compiled kernel
+    (:class:`~repro.semantics.sparql.algebra.IdJoin`): ground pattern terms
+    are resolved to dictionary ids once, variables are integer slots, and a
+    pushed-down filter reads exactly the one term it constrains (the
+    parser's FILTER syntax is single-variable).  Only rows that leave the
+    operator are decoded — with ``project`` set, only the distinct
+    projections onto those variables.
 
     ``source_patterns`` preserves the written pattern order purely for
     :meth:`variables`, so ``SELECT *`` projections list variables in the
@@ -173,8 +172,9 @@ class PlannedBGP(Operator):
         patterns: Sequence[Triple],
         step_filters: Optional[Sequence[Sequence[StepFilter]]] = None,
         source_patterns: Optional[Sequence[Triple]] = None,
+        project: Optional[Sequence[Variable]] = None,
     ):
-        self.patterns = list(patterns)
+        super().__init__(patterns, project)
         if step_filters is None:
             step_filters = [[] for _ in self.patterns]
         if len(step_filters) != len(self.patterns):
@@ -190,33 +190,8 @@ class PlannedBGP(Operator):
                     seen.append(var)
         return seen
 
-    def solutions(self, graph: Graph) -> Iterator[Bindings]:
-        yield from self.solutions_from(graph, EMPTY_BINDINGS)
-
-    def solutions_from(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
-        if not self.patterns:
-            yield bindings
-            return
-        encoded = encode_bgp_patterns(graph, self.patterns)
-        if encoded is None:
-            # a ground query term the graph has never interned: nothing
-            # stored can match the conjunction
-            return
-        pattern_vars = {v for p in self.patterns for v in p.variables()}
-        split = encode_initial_bindings(graph, bindings, pattern_vars)
-        if split is None:
-            return
-        bound, passthrough = split
-        terms = graph.dictionary.terms
-        # the shared id-join loop, in this plan's fixed order with the
-        # pushed-down per-step filters applied as variables bind
-        for solution in match_encoded(graph, encoded, bound, self.step_filters):
-            mapping: Dict[Variable, Term] = {
-                var: terms[term_id] for var, term_id in solution.items()
-            }
-            if passthrough:
-                mapping.update(passthrough)
-            yield bindings_from_mapping(mapping)
+    def _join_order(self, bound):
+        return self.patterns, self.step_filters
 
 
 def plan_patterns(
@@ -302,7 +277,21 @@ def build_plan(graph: Graph, parsed: ParsedQuery) -> QueryPlan:
         else:
             outer_filters.append(predicate)
 
-    root: Operator = PlannedBGP(ordered, step_filters, source_patterns=core)
+    projection_vars = [Variable(name) for name in parsed.variables] or None
+    # SELECT DISTINCT over a bare BGP: the operator itself yields the
+    # distinct projections, de-duplicated on id tuples, so only the rows
+    # that survive are ever decoded (the Projection above sees them again
+    # and changes nothing).  Anything between the BGP and the projection —
+    # an OPTIONAL, an unpushed filter — needs the full rows.
+    pushed = (
+        projection_vars
+        if parsed.form == "SELECT"
+        and parsed.distinct
+        and not parsed.optional_patterns
+        and not outer_filters
+        else None
+    )
+    root: Operator = PlannedBGP(ordered, step_filters, source_patterns=core, project=pushed)
     for optional in parsed.optional_patterns:
         optional_patterns = _resolve_patterns(optional, graph)
         # the left join evaluates its right side independently, so the
@@ -317,7 +306,6 @@ def build_plan(graph: Graph, parsed: ParsedQuery) -> QueryPlan:
         # :meth:`QueryPlan.execute`
         return QueryPlan(form="ASK", root=root, variables=[], stamp=_stamp(graph))
 
-    projection_vars = [Variable(name) for name in parsed.variables] or None
     projection = Projection(
         root,
         variables=projection_vars,
@@ -339,6 +327,11 @@ def build_plan(graph: Graph, parsed: ParsedQuery) -> QueryPlan:
 # the planner facade: plan cache + bounded result cache
 # --------------------------------------------------------------------- #
 
+#: Distinct join shapes kept per planner before the table starts over (a
+#: dashboard plus the rule set is a few dozen).
+_KERNEL_CACHE_SIZE = 1024
+
+
 @dataclass
 class PlannerStatistics:
     """Cache / planning counters (feeds the query-planning benchmark)."""
@@ -352,6 +345,10 @@ class PlannerStatistics:
     result_misses: int = 0
     result_invalidations: int = 0
     view_hits: int = 0
+    #: join kernels generated for this graph (one per distinct join
+    #: *shape*, whoever asked — planner, view or rule; a number that grows
+    #: with the query count means a shape key has stopped being stable)
+    kernels_compiled: int = 0
 
     def __iadd__(self, other: "PlannerStatistics") -> "PlannerStatistics":
         for counter in fields(self):
@@ -400,6 +397,22 @@ class QueryPlanner:
         # the result cache for registered queries instead of dying on every
         # Graph.version bump (see repro.semantics.sparql.views)
         self._views: "Dict[Tuple[int, str], Tuple[weakref.ref, object]]" = {}
+        # compiled join kernels by shape: graph-state independent, so they
+        # outlive every plan invalidation — a re-plan after a write finds
+        # its kernel here instead of generating it again
+        self._kernels: Dict[Shape, Kernel] = {}
+
+    # -- join kernels -------------------------------------------------- #
+
+    def kernel(self, shape: Shape) -> Kernel:
+        """The compiled join kernel for ``shape`` (generated on first use)."""
+        kernel = self._kernels.get(shape)
+        if kernel is None:
+            if len(self._kernels) >= _KERNEL_CACHE_SIZE:
+                self._kernels.clear()
+            kernel = self._kernels[shape] = compile_kernel(shape)
+            self.statistics.kernels_compiled += 1
+        return kernel
 
     # -- planning ------------------------------------------------------ #
 
@@ -610,9 +623,9 @@ def register_standing(graph: Graph, text: str, name: Optional[str] = None):
 # scatter-gather federation over graph partitions
 # --------------------------------------------------------------------- #
 
-#: Plan-cache key marker for the federator's rewritten (SELECT *,
-#: modifier-free) per-partition plans, so they can never alias the
-#: unmodified query's cached plan / results.
+#: Plan-cache key marker for the federator's rewritten per-partition plans
+#: (:func:`federated_variant`), so they can never alias the unmodified
+#: query's cached plan / results.
 _FEDERATED_KEY_PREFIX = "\x00federated-full\x00"
 
 
@@ -681,16 +694,18 @@ def _drop_subsumed_solutions(solutions: List[Bindings]) -> List[Bindings]:
 def _merge_solution_sets(
     per_graph: Sequence[Sequence[Bindings]],
 ) -> List[Bindings]:
-    """Union the partitions' *full* (pre-projection) solution mappings.
+    """Set-union the rows the partitions shipped.
 
-    Identical full mappings collapse to one, and at this level that is
-    exactly right: a full solution grounds every pattern atom to a triple,
-    so a mapping derivable in two partitions can only be standing on
-    triples present in both — i.e. on the *replicated* axioms — and the
-    single-graph oracle would produce it once.  Instance-derived mappings
-    live in exactly one partition and always survive.  (Collapsing
-    *projected* rows here would be wrong: distinct full solutions may
-    project to legitimately duplicate rows.)  First-seen order is
+    Those are *full* (pre-projection) solution mappings, and identical
+    ones collapse to one — at that level exactly right: a full solution
+    grounds every pattern atom to a triple, so a mapping derivable in two
+    partitions can only be standing on triples present in both — i.e. on
+    the *replicated* axioms — and the single-graph oracle would produce it
+    once.  Instance-derived mappings live in exactly one partition and
+    always survive.  Collapsing *projected* rows is only sound when the
+    query asked for it, which is the one case partitions ship them: the
+    DISTINCT push-down of :func:`federated_variant`, whose rows the global
+    DISTINCT projection would collapse anyway.  First-seen order is
     preserved so the merge is deterministic for a fixed partition order;
     solutions decode to plain terms before this point, so mappings from
     shards with different dictionaries compare structurally.
@@ -705,29 +720,61 @@ def _merge_solution_sets(
     return merged
 
 
-def federated_partition_solutions(
-    graph: Graph, text: str
-) -> Tuple[List[Variable], List[Bindings]]:
-    """One partition's contribution to a federated SELECT.
+def federated_variant(parsed: ParsedQuery, standing: bool = False) -> ParsedQuery:
+    """The query one partition evaluates on behalf of a federated SELECT.
 
-    Evaluates the ``SELECT *`` modifier-free variant of ``text`` on
-    ``graph`` (cached per shard under the federated marker key) and
-    returns the full-solution variables and mappings.  This is the
-    per-shard half of :func:`federated_query`, split out so a process
-    backend can run it *inside* a shard worker and ship only the rows.
+    ORDER BY / LIMIT / OFFSET always go: a per-shard cutoff could drop
+    rows that survive globally, so they apply once, after the merge.
+    Projection and DISTINCT go too — the merge needs *full* solution
+    mappings, where set union is exactly the oracle's semantics (see
+    :func:`_merge_solution_sets`) — with one exception, the **DISTINCT
+    push-down**: a ``SELECT DISTINCT`` without OPTIONAL keeps its
+    projection and its DISTINCT, so a partition ships its distinct
+    projected rows (de-duplicated in id space, before decode) instead of
+    every full solution.  That is exact because the set union of the
+    partitions' distinct projections, run through the global DISTINCT
+    projection, is the distinct projection of the union of their full
+    solutions.  A query with OPTIONAL stays on full rows: subsumption
+    compensation (:func:`_drop_subsumed_solutions`) compares whole
+    mappings.
+
+    ``standing`` is the variant a standing view maintains, and it is always
+    the full-row one: a view's unit of maintenance is the full solution
+    (deltas add and remove them, CEP subscribers receive them), and the
+    ``base -> rows`` seeds already written into snapshots hold them — so
+    views neither gain from nor may change under the push-down.  A shard
+    answering from a view thus ships full rows where its neighbour ships
+    projected ones; the global DISTINCT projection absorbs the difference.
     """
-    planner = planner_for(graph)
-    parsed = planner._parse(text)
-    full = replace(
+    push_distinct = (
+        parsed.distinct and not parsed.optional_patterns and not standing
+    )
+    return replace(
         parsed,
-        variables=[],
-        distinct=False,
+        variables=parsed.variables if push_distinct else [],
+        distinct=push_distinct,
         order_by=None,
         descending=False,
         limit=None,
         offset=0,
     )
-    result = planner.query_parsed(graph, _FEDERATED_KEY_PREFIX + text, full)
+
+
+def federated_partition_solutions(
+    graph: Graph, text: str
+) -> Tuple[List[Variable], List[Bindings]]:
+    """One partition's contribution to a federated SELECT.
+
+    Evaluates the :func:`federated_variant` of ``text`` on ``graph``
+    (cached per shard under the federated marker key, which a standing
+    view registered for ``text`` answers instead) and returns its
+    variables and rows.  This is the per-shard half of
+    :func:`federated_query`, split out so a process backend can run it
+    *inside* a shard worker and ship only the rows.
+    """
+    planner = planner_for(graph)
+    variant = federated_variant(planner._parse(text))
+    result = planner.query_parsed(graph, _FEDERATED_KEY_PREFIX + text, variant)
     return list(result.variables), result.solutions
 
 
@@ -737,10 +784,11 @@ def merge_federated_solutions(
     full_variables: List[Variable],
     anchor_graph: Graph,
 ) -> QueryResult:
-    """Gather per-partition full solutions into one modifier-applied result.
+    """Gather per-partition rows into one modifier-applied result.
 
-    The parent half of :func:`federated_query`: set-union of the full
-    mappings, OPTIONAL subsumption compensation, then one global
+    The parent half of :func:`federated_query`: set-union of the shipped
+    rows (:func:`federated_variant` says which),
+    OPTIONAL subsumption compensation, then one global
     :class:`Projection` (projection, DISTINCT, ORDER BY, LIMIT, OFFSET)
     evaluated against ``anchor_graph`` — which supplies only term
     comparison context, never solutions.
@@ -791,15 +839,15 @@ def federate(
         hit = any(ask(partition) for partition in partitions)
         result = QueryResult("ASK", [EMPTY_BINDINGS] if hit else [], [])
     else:
-        # every partition evaluates a SELECT * variant — no projection
-        # hiding, no DISTINCT, no ORDER/LIMIT/OFFSET — so the merge sees
-        # full solution mappings, where set union is *exactly* the oracle's
-        # semantics (see _merge_solution_sets); a per-shard cutoff could
-        # also drop globally-surviving rows.  The rewritten plan and its
-        # unbounded result set are cached per shard under the marker key,
-        # preserving the untouched-partition cache hits that make federated
-        # serving cheap.  Projection (with oracle row multiplicities),
-        # DISTINCT, ordering and cutoffs are then applied once, globally.
+        # every partition evaluates the query's federated_variant — full
+        # solution mappings (or, for a DISTINCT without OPTIONAL, its
+        # distinct projections), never an ORDER/LIMIT/OFFSET — so set union
+        # is *exactly* the oracle's semantics (see _merge_solution_sets).
+        # The rewritten plan and its unbounded result set are cached per
+        # shard under the marker key, preserving the untouched-partition
+        # cache hits that make federated serving cheap.  Projection (with
+        # oracle row multiplicities), DISTINCT, ordering and cutoffs are
+        # then applied once, globally.
         gathered = gather()
         result = merge_federated_solutions(
             parsed,
@@ -827,10 +875,13 @@ def federated_query(graphs: Sequence[Graph], text: str) -> QueryResult:
     the joins that matter stay partition-local).
 
     Within that contract the gathered result matches the single-graph
-    oracle **as a bag**: partitions evaluate a ``SELECT *``
-    modifier-free variant, the full solution mappings are set-unioned
-    (exact at that level — identical cross-partition mappings can only
-    stand on replicated axioms), OPTIONAL pass-through rows that another
+    oracle **as a bag**: partitions evaluate the query's
+    :func:`federated_variant` — ``SELECT *`` without modifiers, except
+    that a ``SELECT DISTINCT`` without OPTIONAL keeps its projection and
+    DISTINCT and ships distinct projected rows — the shipped rows are
+    set-unioned (exact for full mappings — identical cross-partition ones
+    can only stand on replicated axioms — and for rows the query itself
+    asked to be distinct), OPTIONAL pass-through rows that another
     partition extends are dropped (:func:`_drop_subsumed_solutions`), and
     projection (preserving row multiplicities), DISTINCT, ORDER BY (the
     single-graph projection's own sort key), LIMIT and OFFSET are applied

@@ -285,6 +285,38 @@ def test_process_persistence_recovers_content_and_views(tmp_path):
         second.close()
 
 
+def test_worker_checkpoint_settles_heap(tmp_path):
+    """A worker takes its full collection at the checkpoint and parks the
+    survivors, so no later collection walks the partition (run in process:
+    the class is the worker minus the pipe)."""
+    import gc
+
+    from repro.core.shard_worker import _ShardWorker
+    from repro.ik.knowledge_base import IndigenousKnowledgeBase
+    from repro.persistence.store import ShardPersistence
+    from repro.semantics.rdf.graph import Graph
+    from repro.semantics.rdf.triple import Triple
+
+    graph = Graph()
+    persistence = ShardPersistence(tmp_path / "shard-0", fsync="never")
+    persistence.attach(graph)
+    worker = _ShardWorker(graph, IndigenousKnowledgeBase(), persistence, 10**6)
+    assert gc.get_freeze_count() == 0
+    try:
+        worker.replicate([Triple(AFRICRID["a"], AFRICRID["p"], AFRICRID["b"])])
+        worker._commit()
+        assert persistence.generation == 0 and gc.get_freeze_count() == 0
+        worker.snapshot_interval = 1
+        worker.replicate([Triple(AFRICRID["b"], AFRICRID["p"], AFRICRID["c"])])
+        worker._commit()
+        assert persistence.generation == 1 and gc.get_freeze_count() > 0
+        # everything that survived is out of the collector's reach
+        assert not gc.get_objects(generation=2)
+    finally:
+        gc.unfreeze()
+        persistence.close()
+
+
 def test_snapshot_seeds_views_without_rematerializing(tmp_path):
     rng = random.Random(41)
     records = make_stream(rng, 70)

@@ -347,6 +347,8 @@ class TestGatewayHttp:
                         timestamp=3700.0),
             wire_record("quantum_flux", 1.0, timestamp=3800.0),
         ]
+        # the class shares one served engine: count what this test adds
+        before = len(self.twin.query(OBSERVATION_QUERY))
         with self.client() as c:
             status, body, _ = c.post("/v1/ingest", {"records": records})
             assert status == 200
@@ -364,7 +366,7 @@ class TestGatewayHttp:
             assert status == 200
         direct_payload = query_result_to_json(self.twin.query(OBSERVATION_QUERY))
         assert row_bag(served_payload) == row_bag(direct_payload)
-        assert len(served_payload["rows"]) == 2
+        assert len(served_payload["rows"]) == before + 2
 
     def test_entailment_query_served(self):
         # rdfs9 over the SSN hierarchy: sensing devices surface as sensors
@@ -372,7 +374,13 @@ class TestGatewayHttp:
             "SELECT DISTINCT ?sensor WHERE "
             "{ ?sensor a <http://purl.oclc.org/NET/ssnx/ssn#Sensor> }"
         )
+        # its own sensing device, on both engines: the test must not lean
+        # on what an earlier test of the class happened to ingest
+        reading = wire_record(source_id="Xhariep-mote-07", timestamp=7200.0)
+        self.twin.ingest_batch([ObservationRecord.from_dict(reading)])
         with self.client() as c:
+            status, receipt, _ = c.post("/v1/ingest", {"records": [reading]})
+            assert (status, receipt["accepted"]) == (200, 1)
             status, plain, _ = c.post("/v1/query", {"query": entail_query})
             assert status == 200
             status, body, _ = c.post(
