@@ -22,11 +22,11 @@ artifact the CI bench-smoke job uploads via the ``BENCH_*.json`` glob.
 from __future__ import annotations
 
 import gc
-import json
 import time
 from pathlib import Path
 from typing import List, Optional
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
 from repro.ontologies.library import build_unified_ontology
@@ -51,17 +51,6 @@ TOTAL_RECORDS = BATCHES * RECORDS_PER_BATCH  # 10_000
 # pair noise that survives the drift-cancelling median (see the overhead
 # test's docstring) while still failing on a doubling of the append cost
 MAX_OVERHEAD = 0.20
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _batch(batch_index: int) -> List[ObservationRecord]:
@@ -181,7 +170,7 @@ def test_bench_wal_append_overhead(tmp_path, wall_clock_thresholds):
              "records_per_s": f"(wall {wall_overhead:+.1%})"},
         ],
     )
-    _record_artifact("wal_append_overhead", {
+    record_artifact(ARTIFACT, "wal_append_overhead", {
         "records": TOTAL_RECORDS,
         "shards": SHARDS,
         "fsync": "batch",
@@ -237,5 +226,5 @@ def test_bench_recovery_time_vs_store_size(tmp_path):
         "triples_per_s": "(post-checkpoint)",
     })
     print_table("Cold recovery time vs store size", rows)
-    _record_artifact("recovery_time", {"milestones": rows})
+    record_artifact(ARTIFACT, "recovery_time", {"milestones": rows})
     durable.close()

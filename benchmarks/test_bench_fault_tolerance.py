@@ -25,12 +25,12 @@ summary artifact the CI bench-smoke job uploads via the
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from pathlib import Path
 from typing import List, Optional
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.core.faults import FaultPlan
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
@@ -57,17 +57,6 @@ QUERY = """SELECT ?obs ?v WHERE {
     ?obs ssn:hasResult ?r .
     ?r ssn:hasValue ?v .
 }"""
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _batch(batch_index: int) -> List[ObservationRecord]:
@@ -154,7 +143,7 @@ def test_bench_detection_and_restart(tmp_path):
              "seconds": round(restart_to_serving, 3)},
         ],
     )
-    _record_artifact("detection_and_restart", {
+    record_artifact(ARTIFACT, "detection_and_restart", {
         "records_per_batch": RECORDS_PER_BATCH,
         "shards": SHARDS,
         "rpc_timeout": RPC_TIMEOUT,
@@ -209,7 +198,7 @@ def test_bench_degraded_read_overhead(tmp_path):
             {"config": "delta", "ms": f"{overhead:+.1%}"},
         ],
     )
-    _record_artifact("degraded_read_overhead", {
+    record_artifact(ARTIFACT, "degraded_read_overhead", {
         "healthy_query_seconds": healthy_seconds,
         "degraded_query_seconds": degraded_seconds,
         "overhead": overhead,
@@ -248,7 +237,7 @@ def test_bench_quarantine_throughput_cost(tmp_path):
              "records_per_s": ""},
         ],
     )
-    _record_artifact("quarantine_throughput_cost", {
+    record_artifact(ARTIFACT, "quarantine_throughput_cost", {
         "records": total_records,
         "clean_seconds": clean_total,
         "poisoned_seconds": poisoned_total,

@@ -41,7 +41,7 @@ def test_bench_ingest_without_annotation(benchmark, ontology_library):
         library=ontology_library,
         config=MiddlewareConfig(annotate_observations=False, broker_latency=0.0),
     )
-    benchmark(lambda: middleware.ingest_records(records))
+    benchmark(lambda: [middleware.ingest_record(r) for r in records])
 
 
 def test_bench_ingest_with_annotation(benchmark, ontology_library):
@@ -50,7 +50,9 @@ def test_bench_ingest_with_annotation(benchmark, ontology_library):
         library=ontology_library,
         config=MiddlewareConfig(annotate_observations=True, broker_latency=0.0),
     )
-    benchmark.pedantic(lambda: middleware.ingest_records(records), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: [middleware.ingest_record(r) for r in records], rounds=3, iterations=1
+    )
 
 
 def test_bench_end_to_end_layer_table(benchmark, ontology_library):

@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
 from repro.ontologies import build_unified_ontology
@@ -41,17 +42,6 @@ QUERIES_PER_SESSION = 3
 RECORDS_PER_INGEST = 4
 
 DISTRICT_SOURCES = [f"Mangaung-mote-{index:02d}" for index in range(8)]
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _session_records(session: int) -> List[List[dict]]:
@@ -243,7 +233,7 @@ def test_bench_serving_mixed_sessions(benchmark, wall_clock_thresholds):
             "loop_max_lag_ms": max_lag_ms,
         }]
         print_table("Serving: concurrent mixed sessions", rows)
-        _record_artifact("mixed_sessions", {
+        record_artifact(ARTIFACT, "mixed_sessions", {
             **rows[0],
             "elapsed_s": round(elapsed, 3),
             "bag_equal": bag_equal,

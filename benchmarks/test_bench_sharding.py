@@ -34,12 +34,12 @@ artifact the CI bench-smoke job uploads via the ``BENCH_*.json`` glob):
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import List
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
 from repro.ontologies.library import build_unified_ontology
@@ -106,17 +106,6 @@ AREA_QUERIES = [
     for threshold in (56, 57)
 ]
 DASHBOARD_SUITE = GLOBAL_QUERIES + AREA_QUERIES
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _district_poll(district: str, round_index: int, count: int) -> List[ObservationRecord]:
@@ -208,7 +197,7 @@ def test_bench_sharded_ingest_throughput_under_dashboard_load(wall_clock_thresho
         f"Ingest+serve: {TOTAL_RECORDS} records as per-district polls, "
         f"{len(DASHBOARD_SUITE)} dashboard queries per poll", rows,
     )
-    _record_artifact("poll_cycle", {
+    record_artifact(ARTIFACT, "poll_cycle", {
         "records": TOTAL_RECORDS,
         "polls": ROUNDS * len(DISTRICTS),
         "queries_per_poll": len(DASHBOARD_SUITE),
@@ -274,7 +263,7 @@ def test_bench_sharded_mixed_batch_reported(wall_clock_thresholds):
          "records_per_s": int(TOTAL_RECORDS / sharded_seconds)},
         {"config": "ratio", "seconds": round(ratio, 2), "records_per_s": ""},
     ])
-    _record_artifact("mixed_batch", {
+    record_artifact(ARTIFACT, "mixed_batch", {
         "records": TOTAL_RECORDS,
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
@@ -362,7 +351,7 @@ def test_bench_process_backend_ingest_scaling(wall_clock_thresholds):
         f"Process shard workers: {PROCESS_TOTAL}-record mixed stream "
         f"({cores} core(s) available)", rows,
     )
-    _record_artifact("process_backend", payload)
+    record_artifact(ARTIFACT, "process_backend", payload)
 
     if not wall_clock_thresholds:
         return

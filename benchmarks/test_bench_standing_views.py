@@ -29,12 +29,12 @@ glob):
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from pathlib import Path
 from typing import List
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.core.middleware import MiddlewareConfig, SemanticMiddleware
 from repro.ontologies.library import build_unified_ontology
@@ -98,17 +98,6 @@ AREA_QUERIES = [
     for threshold in (56, 57)
 ]
 DASHBOARD_SUITE = GLOBAL_QUERIES + AREA_QUERIES  # 28 queries
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _district_poll(district: str, round_index: int, count: int) -> List[ObservationRecord]:
@@ -211,7 +200,7 @@ def test_bench_standing_poll_cycle(wall_clock_thresholds):
         f"Per-round serving of the {len(DASHBOARD_SUITE)}-query suite "
         f"({len(DISTRICTS)} polls/round, {RECORDS_PER_POLL} records/poll)", rows,
     )
-    _record_artifact("poll_cycle", {
+    record_artifact(ARTIFACT, "poll_cycle", {
         "records": TOTAL_RECORDS,
         "queries_per_poll": len(DASHBOARD_SUITE),
         "standing_seconds_per_round": standing_per_round,
@@ -284,7 +273,7 @@ def test_bench_standing_removals_stay_correct():
          "delta_updates": view_stats["delta_updates"],
          "serve_ms": round(1000 * serve_seconds, 1)},
     ])
-    _record_artifact("removals", {
+    record_artifact(ARTIFACT, "removals", {
         "removed_triples": removed,
         "full_refreshes": view_stats["full_refreshes"],
         "delta_updates": view_stats["delta_updates"],

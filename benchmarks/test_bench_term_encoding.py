@@ -22,13 +22,13 @@ directory — the summary artifact the CI bench-smoke job uploads.
 from __future__ import annotations
 
 import gc
-import json
 import time
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from typing import List
 
+from benchmarks._artifact import record_artifact
 from benchmarks.conftest import print_table
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.namespace import Namespace
@@ -40,17 +40,6 @@ EX = Namespace("http://example.org/")
 BASE = "http://example.org/"
 
 ARTIFACT = Path("BENCH_term_encoding.json")
-
-
-def _record_artifact(section: str, payload) -> None:
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -199,7 +188,7 @@ def test_bench_encoded_ingest_beats_object_tuples(wall_clock_thresholds):
         {"path": "speedup", "seconds": round(speedup, 2), "records_per_s": ""},
     ]
     print_table("Ingest: 10k annotation-shaped records", rows)
-    _record_artifact("ingest", {
+    record_artifact(ARTIFACT, "ingest", {
         "records": RECORDS,
         "baseline_seconds": baseline_time,
         "encoded_seconds": encoded_time,
@@ -261,7 +250,7 @@ def test_bench_encoded_join_beats_decoded(wall_clock_thresholds):
         {"path": "encoded ids", "seconds": round(encoded_time, 4)},
         {"path": "speedup", "seconds": round(speedup, 2)},
     ])
-    _record_artifact("adversarial_join", {
+    record_artifact(ARTIFACT, "adversarial_join", {
         "solutions": encoded_count,
         "decoded_seconds": decoded_time,
         "encoded_seconds": encoded_time,
@@ -313,7 +302,7 @@ def test_bench_per_triple_memory_footprint():
          "bytes_per_triple": int(encoded_bytes / size)},
     ]
     print_table(f"Resident memory at {size} triples", rows)
-    _record_artifact("memory", {
+    record_artifact(ARTIFACT, "memory", {
         "triples": size,
         "baseline_bytes": baseline_bytes,
         "encoded_bytes": encoded_bytes,

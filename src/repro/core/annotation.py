@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.mediator import CanonicalObservation
 from repro.ontologies.environment import CANONICAL_PROPERTIES
@@ -101,27 +101,24 @@ class SemanticAnnotator:
         shared with the unified ontology so reasoning spans both).
     knowledge_base:
         Optional IK knowledge base used to annotate indicator sightings.
-    counter:
-        Optional shared index allocator for minted observation / sighting
-        IRIs.  The sharded ontology layer hands every per-shard annotator
-        the *same* counter, so IRIs stay globally unique — and, with
-        batch indexes pre-assigned in arrival order, identical to what a
-        single-graph deployment would mint for the same stream.
+
+    Minted IRIs are numbered from the annotator's own counter unless the
+    caller pre-assigns the indexes (see :meth:`annotate_batch`).
     """
 
-    def __init__(self, graph: Graph, knowledge_base=None, counter=None):
+    def __init__(self, graph: Graph, knowledge_base=None):
         self.graph = graph
         self.knowledge_base = knowledge_base
-        self._counter = counter if counter is not None else itertools.count(1)
+        self._counter = itertools.count(1)
         self.annotated = 0
         self.annotated_sightings = 0
         # batch-scoped intern memos (see annotate_batch): a 10k-record
         # batch from 40 motes would otherwise construct and re-validate
         # 10k equal sensor/platform/feature IRIs before the graph's term
         # dictionary collapses them to one id
-        self._batch_sensor_iris: Optional[dict] = None
-        self._batch_feature_iris: Optional[dict] = None
-        self._batch_platform_iris: Optional[dict] = None
+        self._batch_sensor_iris: Dict[str, IRI] = {}
+        self._batch_feature_iris: Dict[str, IRI] = {}
+        self._batch_platform_iris: Dict[str, IRI] = {}
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -129,23 +126,19 @@ class SemanticAnnotator:
 
     def sensor_iri(self, source_id: str) -> IRI:
         """The IRI of the (possibly human) sensor with this source id."""
-        memo = self._batch_sensor_iris
-        if memo is None:
-            return AFRICRID[f"sensor/{source_id}"]
-        iri = memo.get(source_id)
+        iri = self._batch_sensor_iris.get(source_id)
         if iri is None:
-            iri = memo[source_id] = AFRICRID[f"sensor/{source_id}"]
+            iri = self._batch_sensor_iris[source_id] = AFRICRID[f"sensor/{source_id}"]
         return iri
 
     def feature_iri(self, observation: CanonicalObservation) -> IRI:
         """The feature-of-interest IRI for an observation."""
         area = observation.area or "unknown-area"
-        memo = self._batch_feature_iris
-        if memo is None:
-            return AFRICRID[f"feature/{area.replace(' ', '_')}"]
-        iri = memo.get(area)
+        iri = self._batch_feature_iris.get(area)
         if iri is None:
-            iri = memo[area] = AFRICRID[f"feature/{area.replace(' ', '_')}"]
+            iri = self._batch_feature_iris[area] = AFRICRID[
+                f"feature/{area.replace(' ', '_')}"
+            ]
         return iri
 
     # ------------------------------------------------------------------ #
@@ -190,15 +183,11 @@ class SemanticAnnotator:
         if property_iri is not None:
             triples.append(Triple(sensor_iri, SSN.observes, property_iri))
         if observation.location is not None:
-            platform_memo = self._batch_platform_iris
-            if platform_memo is None:
-                platform_iri = AFRICRID[f"platform/{observation.source_id}"]
-            else:
-                platform_iri = platform_memo.get(observation.source_id)
-                if platform_iri is None:
-                    platform_iri = platform_memo[observation.source_id] = AFRICRID[
-                        f"platform/{observation.source_id}"
-                    ]
+            platform_iri = self._batch_platform_iris.get(observation.source_id)
+            if platform_iri is None:
+                platform_iri = self._batch_platform_iris[observation.source_id] = AFRICRID[
+                    f"platform/{observation.source_id}"
+                ]
             triples.extend(
                 [
                     Triple(sensor_iri, SSN.onPlatform, platform_iri),
@@ -264,16 +253,12 @@ class SemanticAnnotator:
     # ------------------------------------------------------------------ #
 
     def annotate(self, observation: CanonicalObservation) -> AnnotationResult:
-        """Annotate one canonical observation, returning the minted IRIs."""
+        """Annotate one canonical observation (a batch of one), returning
+        the minted IRIs with the exact graph growth."""
         before = len(self.graph)
-        result, triples = self._generate(observation)
-        self.graph.add_all(triples)
+        [result] = self.annotate_batch([observation])
         result.triples_added = len(self.graph) - before
         return result
-
-    def annotate_many(self, observations: List[CanonicalObservation]) -> List[AnnotationResult]:
-        """Annotate a batch of observations one by one."""
-        return [self.annotate(observation) for observation in observations]
 
     def annotate_batch(
         self,
@@ -302,9 +287,6 @@ class SemanticAnnotator:
             raise ValueError("indexes must parallel observations")
         results: List[AnnotationResult] = []
         triples: List[Triple] = []
-        self._batch_sensor_iris = {}
-        self._batch_feature_iris = {}
-        self._batch_platform_iris = {}
         try:
             for position, observation in enumerate(observations):
                 index = indexes[position] if indexes is not None else None
@@ -312,8 +294,8 @@ class SemanticAnnotator:
                 results.append(result)
                 triples.extend(observation_triples)
         finally:
-            self._batch_sensor_iris = None
-            self._batch_feature_iris = None
-            self._batch_platform_iris = None
+            self._batch_sensor_iris.clear()
+            self._batch_feature_iris.clear()
+            self._batch_platform_iris.clear()
         self.graph.add_all(triples)
         return results

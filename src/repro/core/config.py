@@ -18,12 +18,8 @@ class MiddlewareConfig:
 
     #: Whether to write RDF annotations for every observation.
     annotate_observations: bool = True
-    #: Whether to install the default sensor-side process-detection rules.
-    install_sensor_rules: bool = True
     #: Whether to derive and install CEP rules from the IK knowledge base.
     install_ik_rules: bool = True
-    #: Minimum distinct observers for IK rule corroboration.
-    ik_min_observers: int = 2
     #: Feed every canonical observation to the CEP engine.  Applications
     #: processing high-frequency mote streams (the DEWS) usually disable
     #: this and feed daily per-district aggregates instead via

@@ -7,10 +7,9 @@ cloud store for newly uploaded SenML documents, decodes them back into raw
 observation records and hands them to the ontology segment layer (or
 publishes them on the ``raw/...`` broker topics).
 
-When a ``batch_sink`` is attached, each poll forwards all of its decoded
-records in one call so the ontology segment layer's staged pipeline can
-amortise per-record overhead (batched mediation and annotation, deferred
-CEP flush); ``sink`` remains available for per-record dispatch.
+Each poll forwards all of its decoded records to the ``batch_sink`` in one
+call so the ontology segment layer's staged pipeline can amortise
+per-record overhead (batched mediation and annotation, deferred CEP flush).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.streams.broker import Broker
 from repro.streams.messages import ObservationRecord, SenMLCodec
 from repro.streams.scheduler import SimulationScheduler
 
-RecordSink = Callable[[ObservationRecord], None]
 RecordBatchSink = Callable[[List[ObservationRecord]], None]
 
 
@@ -45,12 +43,9 @@ class InterfaceProtocolLayer:
     cloud_store:
         An object exposing ``fetch_since(cursor) -> (documents, new_cursor)``
         -- normally :class:`repro.dews.cloud.CloudStore`.
-    sink:
-        Callback receiving each decoded raw record individually.
     batch_sink:
         Callback receiving all records of one poll at once (normally the
-        middleware facade's ``ingest_batch``).  Takes precedence over
-        ``sink`` when both are given.
+        middleware facade's ``ingest_batch``).
     broker / raw_topic_prefix:
         When given, every decoded record is also published on
         ``<prefix>/<source_kind>/<source_id>`` so other subscribers (e.g.
@@ -69,7 +64,6 @@ class InterfaceProtocolLayer:
     def __init__(
         self,
         cloud_store,
-        sink: Optional[RecordSink] = None,
         batch_sink: Optional[RecordBatchSink] = None,
         broker: Optional[Broker] = None,
         raw_topic_prefix: str = "raw",
@@ -78,7 +72,6 @@ class InterfaceProtocolLayer:
         on_poll: Optional[RecordBatchSink] = None,
     ):
         self.cloud_store = cloud_store
-        self.sink = sink
         self.batch_sink = batch_sink
         self.broker = broker
         self.raw_topic_prefix = raw_topic_prefix
@@ -111,9 +104,6 @@ class InterfaceProtocolLayer:
             if self.batch_sink is not None:
                 self.statistics.batches_forwarded += 1
                 self.batch_sink(records)
-            elif self.sink is not None:
-                for record in records:
-                    self.sink(record)
         if self.on_poll is not None:
             self.on_poll(records)
         return records

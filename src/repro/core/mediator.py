@@ -141,13 +141,8 @@ class Mediator:
     # ------------------------------------------------------------------ #
 
     def mediate(self, record: ObservationRecord) -> MediationOutcome:
-        """Mediate one raw record."""
-        self.statistics.records_seen += 1
-
-        if record.source_kind == "ik_sighting":
-            return self._mediate_sighting(record)
-
-        return self._mediate_aligned(record, self.aligner.align(record.property_name))
+        """Mediate one raw record (a batch of one)."""
+        return self.mediate_many([record])[0]
 
     def _mediate_aligned(
         self, record: ObservationRecord, alignment: AlignmentResult
@@ -248,9 +243,8 @@ class Mediator:
         by far the most expensive mediation step and is a pure function of
         the vendor spelling, so a batch resolves every distinct
         ``property_name`` once and reuses the alignment for all records
-        carrying it.  Outcomes and :class:`MediatorStatistics` are
-        identical to calling :meth:`mediate` per record; the aligner's own
-        counters see one ``align`` call per distinct term, not per record.
+        carrying it.  The aligner's own counters therefore see one
+        ``align`` call per distinct term, not per record.
         """
         alignments: Dict[str, AlignmentResult] = {}
         outcomes: List[MediationOutcome] = []

@@ -14,12 +14,13 @@ DEWS application and the examples need:
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Iterable, List, Optional
 
 from repro.cep.engine import CepEngine
 from repro.cep.event import DerivedEvent, Event
 from repro.cep.rules import CepRule
-from repro.core.api import HealthReport, IngestReceipt, StandingViewHandle
+from repro.core.api import HealthReport, IngestReceipt
 from repro.core.application_layer import ApplicationAbstractionLayer
 from repro.core.config import MiddlewareConfig
 from repro.core.interface_layer import InterfaceProtocolLayer
@@ -84,38 +85,37 @@ class SemanticMiddleware:
         self.ontology_layer.set_publisher(self.application_layer.publish_event)
         self.interface_layer: Optional[InterfaceProtocolLayer] = None
 
-        if self.config.install_sensor_rules:
-            self.ontology_layer.add_cep_rules(sensor_process_rules())
+        self.ontology_layer.add_cep_rules(sensor_process_rules())
         if self.config.install_ik_rules:
             self.ontology_layer.add_cep_rules(
-                derive_cep_rules(
-                    self.knowledge_base, min_observers=self.config.ik_min_observers
-                )
+                derive_cep_rules(self.knowledge_base, min_observers=2)
             )
         if self.ontology_layer.recovered:
-            self._rewire_recovered_push_views()
+            # the ontology layer re-registered every persisted standing
+            # view during recovery, but broker wiring is this facade's
+            # concern: re-subscribe the push-mode ones so their deltas
+            # flow again
+            pushed = {
+                registration["name"]
+                for registration in
+                self.ontology_layer.persistence.standing_registrations()
+                if registration["push"] and registration["name"] is not None
+            }
+            for view in self.ontology_layer.standing_views():
+                if view.name in pushed:
+                    self._wire_push(view.name, [view])
 
-    def _rewire_recovered_push_views(self) -> None:
-        # the ontology layer re-registered every persisted standing view
-        # during recovery, but broker wiring is this facade's concern:
-        # re-subscribe the push-mode ones so their deltas flow again
-        persistence = self.ontology_layer.persistence
-        pushed = {
-            registration["name"]
-            for registration in persistence.standing_registrations()
-            if registration["push"] and registration["name"] is not None
-        }
-        if not pushed:
-            return
-        for view in self.ontology_layer.standing_views():
-            if view.name in pushed:
-                topic = f"views/{view.name}"
+    def _wire_push(self, name: str, views: List) -> None:
+        """Publish the views' deltas on ``views/<name>`` and refresh them
+        after every ingest."""
+        topic = f"views/{name}"
 
-                def publish(delta, _topic=topic):
-                    self.broker.publish(_topic, delta)
+        def publish(delta):
+            self.broker.publish(topic, delta)
 
-                view.subscribe(publish)
-                self._push_views.append(view)
+        for view in views:
+            view.subscribe(publish)
+        self._push_views.extend(views)
 
     # ------------------------------------------------------------------ #
     # wiring to the physical layer
@@ -147,29 +147,18 @@ class SemanticMiddleware:
     # ------------------------------------------------------------------ #
 
     def ingest_record(self, record: ObservationRecord) -> Optional[Event]:
-        """Push one raw record through the staged ingestion pipeline.
+        """Push one raw record through the pipeline — a batch of one.
 
-        The pipeline mediates, validates, annotates, publishes the
-        canonical event on the broker and feeds the CEP engine.
+        Returns its canonical event, or ``None`` when a stage dropped it.
         """
-        event = self.ontology_layer.process_record(record)
-        if self._push_views:
-            self._refresh_push_views()
-        return event
-
-    def ingest_records(self, records: Iterable[ObservationRecord]) -> List[Event]:
-        """Push raw records through the pipeline one at a time."""
-        events = []
-        for record in records:
-            event = self.ingest_record(record)
-            if event is not None:
-                events.append(event)
-        return events
+        receipt = self.ingest_batch([record])
+        return receipt[0] if receipt else None
 
     def ingest_batch(self, records: Iterable[ObservationRecord]) -> IngestReceipt:
         """Push a batch of raw records through the pipeline stage-major.
 
-        Produces the same events as :meth:`ingest_records` while amortising
+        The pipeline mediates, validates, annotates, publishes the
+        canonical events on the broker and feeds the CEP engine, amortising
         per-record overhead: one batched mediation call, one
         ``graph.add_all`` annotation commit and a deferred CEP flush after
         every record of the batch has been published.  Returns an
@@ -209,23 +198,14 @@ class SemanticMiddleware:
         underlying per-graph views, plus the registration's name / query /
         topic for wire clients.
         """
-        view_name = name or f"standing-{len(self._push_views) + 1}"
-        views = self.ontology_layer.register_standing(text, name=view_name)
+        if name is None:
+            # from the text, so two anonymous views never share a name (or
+            # a ``views.json`` record) and a re-registration keeps its own
+            name = f"standing-{zlib.crc32(text.encode('utf-8')):08x}"
+        handle = self.ontology_layer.register_standing(text, name=name, push=push)
         if push:
-            topic = f"views/{view_name}"
-
-            def publish(delta, _topic=topic):
-                self.broker.publish(_topic, delta)
-
-            for view in views:
-                view.subscribe(publish)
-            self._push_views.extend(views)
-        persistence = self.ontology_layer.persistence
-        if persistence is not None:
-            # upgrade the layer's record with the push flag so a restart
-            # re-wires the broker subscription too
-            persistence.record_standing(view_name, text, push=push)
-        return StandingViewHandle(views, name=view_name, text=text, push=push)
+            self._wire_push(name, handle)
+        return handle
 
     def _refresh_push_views(self) -> None:
         for view in self._push_views:

@@ -16,11 +16,9 @@ Raw records come in from the interface protocol layer (or directly from a
 broker topic); canonical events and derived events go out to the
 application abstraction layer.  The processing path itself is a staged
 :class:`~repro.core.pipeline.Pipeline` (mediate → validate → annotate →
-reason → publish → cep), which gives every record the same treatment
-whether it
-arrives alone (:meth:`process_record`) or in a batch
-(:meth:`process_batch`, stage-major with batched annotation and a deferred
-CEP flush).
+reason → publish → cep) run stage-major per batch
+(:meth:`OntologySegmentLayer.ingest_batch`, with batched annotation and a
+deferred CEP flush); a record arriving alone is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cep.engine import CepEngine
-from repro.cep.event import DerivedEvent, Event
+from repro.cep.event import DerivedEvent
 from repro.cep.rules import CepRule
 from repro.core.api import HealthReport, IngestReceipt, StandingViewHandle
 from repro.core.config import MiddlewareConfig
@@ -158,7 +156,6 @@ class OntologySegmentLayer:
         self.shard_backend = self._backend.kind
         #: Whether this layer's graphs were rebuilt from durable state.
         self.recovered = self._backend.recovered
-        self.store = self._backend.store
         self.reasoners = self._backend.reasoners
         self.services = self._backend.services
         self._annotate_stage = AnnotateStage(
@@ -187,7 +184,9 @@ class OntologySegmentLayer:
                 self._backend.reason(range(self.shards))
             for registration in self.persistence.standing_registrations():
                 self.register_standing(
-                    registration["text"], name=registration["name"]
+                    registration["text"],
+                    name=registration["name"],
+                    push=registration["push"],
                 )
 
     def _register_default_services(self) -> None:
@@ -237,61 +236,27 @@ class OntologySegmentLayer:
         """
         self._publish_stage.publisher = publisher
 
-    def process_record(self, record: ObservationRecord) -> Optional[Event]:
-        """Run one raw record through the staged pipeline.
+    def ingest_batch(self, records: Iterable[ObservationRecord]) -> IngestReceipt:
+        """Run a batch stage-major through the pipeline — the unified surface.
 
-        Returns the canonical :class:`~repro.cep.event.Event` fed to the CEP
-        engine, or ``None`` when a stage dropped the record.
-        """
-        self.statistics.records_in += 1
-        context = self.pipeline.run(IngestionContext(record))
-        self._backend.commit()
-        return context.event if context.dropped_by is None else None
-
-    def process_records(self, records: Iterable[ObservationRecord]) -> List[Event]:
-        """Process records one by one, returning the canonical events."""
-        events = []
-        for record in records:
-            event = self.process_record(record)
-            if event is not None:
-                events.append(event)
-        return events
-
-    def process_batch(self, records: Iterable[ObservationRecord]) -> List[Event]:
-        """Process a batch stage-major through the pipeline.
-
-        Equivalent output to :meth:`process_records`, but mediation runs as
-        one batch call, annotation triples are committed with a single
-        ``graph.add_all`` and the CEP engine is flushed once after all
-        records have been published.
+        Mediation runs as one batch call, annotation triples are committed
+        with a single ``graph.add_all`` per shard and the CEP engine is
+        flushed once after all records have been published.  The receipt
+        iterates as the accepted events (the old ``List[Event]`` contract);
+        ``rejected`` counts the records a pipeline stage dropped during
+        *this* call (each journaled to the dead-letter file), and
+        ``quarantined`` counts poison batches the process backend gave up
+        replaying.
         """
         contexts = [IngestionContext(record) for record in records]
         self.statistics.records_in += len(contexts)
+        quarantined_before = self._backend.quarantined
         survivors = self.pipeline.run_batch(contexts)
         self._backend.commit()
-        return [context.event for context in survivors]
-
-    def ingest_batch(self, records: Iterable[ObservationRecord]) -> IngestReceipt:
-        """:meth:`process_batch` with a typed receipt — the unified surface.
-
-        The receipt iterates as the accepted events (the old ``List[Event]``
-        contract); ``rejected`` counts the records a pipeline stage dropped
-        during *this* call (delta of the stage drop counters, each record
-        journaled to the dead-letter file), and ``quarantined`` counts
-        poison batches the process backend gave up replaying.
-        """
-        dropped_before = self._dropped_total()
-        quarantined_before = self._backend.quarantined
-        events = self.process_batch(records)
         return IngestReceipt(
-            events,
-            rejected=self._dropped_total() - dropped_before,
+            [context.event for context in survivors],
+            rejected=len(contexts) - len(survivors),
             quarantined=self._backend.quarantined - quarantined_before,
-        )
-
-    def _dropped_total(self) -> int:
-        return sum(
-            stage.dropped for stage in self.pipeline.statistics.stages.values()
         )
 
     def subscribe(
@@ -325,7 +290,7 @@ class OntologySegmentLayer:
     def graph(self) -> Graph:
         """The one graph everything shares — or, under sharding, the
         pristine ontology axiom base (annotations live in :attr:`graphs`)."""
-        return self.library.graph if self.sharded else self.store.graphs[0]
+        return self.library.graph if self.sharded else self.graphs[0]
 
     @property
     def graphs(self) -> List[Graph]:
@@ -334,7 +299,7 @@ class OntologySegmentLayer:
         Live objects for in-process shards; the process backend ships full
         dumps — correct but expensive, for tests and offline inspection.
         """
-        return self.store.graphs
+        return self._backend.graphs
 
     def versions(self) -> List[int]:
         """Per-shard write counters: any change to a shard moves its entry.
@@ -346,7 +311,7 @@ class OntologySegmentLayer:
 
     def triple_count(self) -> int:
         """Resident triples, summed across the shards."""
-        return self.store.triple_count()
+        return self._backend.triple_count()
 
     def materialize_inferences(self, full: bool = False):
         """Run the OWL/RDFS reasoner over ontology + annotations.
@@ -378,22 +343,26 @@ class OntologySegmentLayer:
         return self._backend.query(text, entail=entail)
 
     def register_standing(
-        self, text: str, name: Optional[str] = None
+        self, text: str, name: Optional[str] = None, push: bool = False
     ) -> StandingViewHandle:
         """Register ``text`` as a delta-maintained standing view.
 
         One view per shard (a write to one district then folds only that
         partition's delta in), seeded from the recovered snapshot's rows
         where those are still valid.  :meth:`query` serves the registered
-        query from the materialized views from then on.  Returns a
+        query from the materialized views from then on.  ``push`` is
+        recorded with the registration (a durable layer re-registers it
+        after a restart) and carried on the handle; publishing the deltas
+        is the business of whoever owns a broker — the middleware facade
+        wires it, the stand-alone layer has none.  Returns a
         :class:`~repro.core.api.StandingViewHandle` — still a list of the
         underlying view objects (parent-side handles for the process
         backend), plus the registration's identity.
         """
         views = self._backend.register_standing(text, name=name)
         if self.persistence is not None:
-            self.persistence.record_standing(name, text)
-        return StandingViewHandle(views, name=name, text=text)
+            self.persistence.record_standing(name, text, push=push)
+        return StandingViewHandle(views, name=name, text=text, push=push)
 
     def standing_views(self) -> List:
         """Every live standing view across the shards."""
@@ -433,10 +402,10 @@ class OntologySegmentLayer:
         if not self.sharded:
             return None
         return {
-            "shards": self.store.num_shards,
+            "shards": self.shards,
             "backend": self.shard_backend,
-            "replicated_triples": self.store.replicated_triples,
-            "shard_sizes": self.store.shard_sizes(),
+            "replicated_triples": self._backend.replicated_triples,
+            "shard_sizes": self._backend.shard_sizes(),
             "parallel_batches": self._annotate_stage.parallel_batches,
         }
 

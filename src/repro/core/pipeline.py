@@ -26,13 +26,13 @@ Every raw record crossing the middleware passes the same six stages:
 ``cep``
     Feeds the canonical event to the inference (CEP) engine.
 
-The :class:`Pipeline` runs a record through all stages (``run``) or a
-whole batch stage-major (``run_batch``): every surviving record passes
-stage *n* before any record enters stage *n + 1*.  Stage-major execution
-is what lets batches amortise per-record overhead — mediation runs as one
-``mediate_many`` call, annotation accumulates triples for a single
-``graph.add_all``, and the CEP engine is flushed once at the end instead
-of being interleaved with graph writes and broker publishes.
+The :class:`Pipeline` runs a batch stage-major (``run_batch``): every
+surviving record passes stage *n* before any record enters stage *n + 1*.
+Stage-major execution is what lets batches amortise per-record overhead —
+mediation runs as one ``mediate_many`` call, annotation accumulates triples
+for a single ``graph.add_all``, and the CEP engine is flushed once at the
+end instead of being interleaved with graph writes and broker publishes.
+A record arriving alone is a batch of one.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ class Pipeline:
             stages={stage.name: StageStatistics(stage.name) for stage in self.stages}
         )
 
-    def run(self, context: IngestionContext) -> IngestionContext:
-        """Run one record through every stage (record-major)."""
-        self.statistics.records += 1
-        for stage in self.stages:
-            stats = self.statistics.stages[stage.name]
-            stats.entered += 1
-            if not stage.process(context):
-                stats.dropped += 1
-                context.dropped_by = stage.name
-                break
-        return context
-
     def run_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         """Run a batch through every stage (stage-major).
 
@@ -166,13 +154,6 @@ class MediateStage(Stage):
 
     def __init__(self, mediator: Mediator):
         self.mediator = mediator
-
-    def process(self, context: IngestionContext) -> bool:
-        outcome = self.mediator.mediate(context.record)
-        if not outcome.resolved:
-            return False
-        context.observation = outcome.observation
-        return True
 
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         outcomes = self.mediator.mediate_many([context.record for context in contexts])
@@ -252,10 +233,6 @@ class AnnotateStage(Stage):
         #: Batches that spanned more than one partition.
         self.parallel_batches = 0
 
-    def process(self, context: IngestionContext) -> bool:
-        self.process_batch([context])
-        return True
-
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         if not self.enabled or not contexts:
             return contexts
@@ -290,10 +267,6 @@ class ReasonStage(Stage):
     def __init__(self, backend, enabled: bool = False):
         self.backend = backend
         self.enabled = enabled
-
-    def process(self, context: IngestionContext) -> bool:
-        self.process_batch([context])
-        return True
 
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         if self.enabled and contexts:
@@ -360,18 +333,9 @@ class CepStage(Stage):
         self.layer_statistics = layer_statistics
         self.per_record = per_record
 
-    def _wants(self, context: IngestionContext) -> bool:
-        return self.per_record or context.observation.is_indicator_sighting
-
-    def process(self, context: IngestionContext) -> bool:
-        if self._wants(context):
-            context.derived = self.cep.process(context.event)
-            self.layer_statistics.derived_events += len(context.derived)
-        return True
-
     def process_batch(self, contexts: List[IngestionContext]) -> List[IngestionContext]:
         for context in contexts:
-            if self._wants(context):
+            if self.per_record or context.observation.is_indicator_sighting:
                 context.derived = self.cep.process(context.event)
                 self.layer_statistics.derived_events += len(context.derived)
         return contexts

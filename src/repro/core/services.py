@@ -10,7 +10,7 @@ rather than on hard-coded endpoint names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.ontologies.vocabulary import AFRICRID
 from repro.semantics.rdf.graph import Graph
@@ -50,37 +50,46 @@ class SemanticService:
 
 
 class ServiceRegistry:
-    """Registry of semantic services, materialised into the shared graph(s).
+    """Registry of semantic services, materialised as catalogue triples.
 
-    A sharded ontology segment layer passes every partition graph: the
-    catalogue triples are replicated, like the ontology axioms, so a
-    service description is discoverable from any partition a federated
-    query lands on.
+    The registry builds a service's triples once and writes them through
+    two callables: ``replicate(triples)`` and ``retract(subject)``.  The
+    ontology segment layer's shard backend supplies its own — one round
+    that reaches every partition, so a service description is
+    discoverable, like the ontology axioms, from any partition a
+    federated query lands on.  Stand-alone, pass the ``graph`` to describe
+    the services in (or nothing, for a catalogue without triples).
     """
 
-    def __init__(self, graph: Optional[Union[Graph, Sequence[Graph]]] = None):
-        if graph is None:
-            graphs: List[Graph] = []
-        elif isinstance(graph, Graph):
-            graphs = [graph]
-        else:
-            graphs = list(graph)
-        self.graphs = graphs
-        #: The primary graph (kept for existing single-graph callers).
-        self.graph = graphs[0] if graphs else None
+    def __init__(
+        self,
+        graph: Optional[Graph] = None,
+        replicate: Optional[Callable[[List[Triple]], object]] = None,
+        retract: Optional[Callable[[IRI], object]] = None,
+    ):
+        if graph is not None:
+            replicate, retract = graph.add_all, graph.remove_matching
+        self._replicate = replicate
+        self._retract = retract
         self._services: Dict[str, SemanticService] = {}
 
     def register(self, service: SemanticService) -> SemanticService:
         """Register (or replace) a service description."""
         self._services[service.name] = service
-        iri = service.iri()
-        for graph in self.graphs:
-            graph.add(Triple(iri, RDF.type, AFRICRID.SemanticService))
-            graph.add(Triple(iri, RDFS.label, Literal(service.name)))
-            graph.add(Triple(iri, RDFS.comment, Literal(service.description)))
-            graph.add(Triple(iri, AFRICRID.publishesOn, Literal(service.topic)))
-            for provided in service.provides:
-                graph.add(Triple(iri, AFRICRID.providesConcept, provided))
+        if self._replicate is not None:
+            iri = service.iri()
+            self._replicate(
+                [
+                    Triple(iri, RDF.type, AFRICRID.SemanticService),
+                    Triple(iri, RDFS.label, Literal(service.name)),
+                    Triple(iri, RDFS.comment, Literal(service.description)),
+                    Triple(iri, AFRICRID.publishesOn, Literal(service.topic)),
+                    *(
+                        Triple(iri, AFRICRID.providesConcept, provided)
+                        for provided in service.provides
+                    ),
+                ]
+            )
         return service
 
     def unregister(self, name: str) -> bool:
@@ -88,8 +97,8 @@ class ServiceRegistry:
         service = self._services.pop(name, None)
         if service is None:
             return False
-        for graph in self.graphs:
-            graph.remove_matching(subject=service.iri())
+        if self._retract is not None:
+            self._retract(service.iri())
         return True
 
     def get(self, name: str) -> Optional[SemanticService]:

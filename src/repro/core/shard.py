@@ -26,14 +26,15 @@ from repro.core.annotation import SemanticAnnotator
 from repro.core.mediator import CanonicalObservation
 from repro.persistence.store import ShardPersistence
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.sharding import register_shard_view
 from repro.semantics.rdf.term import Term
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.reasoner import Reasoner
 from repro.semantics.rules import InferenceTrace
 from repro.semantics.sparql.bindings import Bindings
 from repro.semantics.sparql.planner import (
+    _FEDERATED_KEY_PREFIX,
     federated_partition_solutions,
+    federated_variant,
     planner_for,
 )
 from repro.semantics.sparql.views import StandingView
@@ -130,24 +131,37 @@ class Shard:
     ) -> StandingView:
         """Register (idempotently) this partition's view for ``text``.
 
+        ``federated`` selects the cache key the federator will hit: SELECT
+        views register the full-row
+        :func:`~repro.semantics.sparql.planner.federated_variant` under the
+        federated marker key, ASK views (and the view of a one-shard layer)
+        register under the plain text.
+
         Rows stored in the recovered snapshot seed the view only while the
         partition is byte-for-byte the snapshot's state: nothing replayed
         from the WAL tail, nothing journalled since, and the stored query
         text matches the registration.  Anything else re-materializes.
         """
         view = self.views.get(text)
-        if view is None:
-            seed = None
-            persistence = self.persistence
-            if (
-                persistence is not None
-                and persistence.wal is not None
-                and persistence.wal.records == 0
-            ):
-                seed = persistence.view_seed(name if name is not None else text, text)
-            view = self.views[text] = register_shard_view(
-                self.graph, text, name=name, federated=federated, seed=seed
-            )
+        if view is not None:
+            return view
+        seed = None
+        persistence = self.persistence
+        if (
+            persistence is not None
+            and persistence.wal is not None
+            and persistence.wal.records == 0
+        ):
+            seed = persistence.view_seed(name if name is not None else text, text)
+        planner = planner_for(self.graph)
+        parsed = planner._parse(text)
+        cache_text = text
+        if federated and parsed.form != "ASK":
+            parsed = federated_variant(parsed, standing=True)
+            cache_text = _FEDERATED_KEY_PREFIX + text
+        view = self.views[text] = planner.register_standing(
+            self.graph, text, parsed=parsed, cache_text=cache_text, name=name, seed=seed
+        )
         return view
 
     def refresh_views(self) -> None:

@@ -45,7 +45,9 @@ from repro.core.faults import (
 )
 from repro.core.services import ServiceRegistry
 from repro.core.shard import Shard
-from repro.semantics.rdf.sharding import ShardedGraphStore
+from repro.core.shard_router import ShardRouter
+from repro.semantics.rdf.graph import Graph
+from repro.semantics.rdf.sharding import build_partitions
 from repro.semantics.rdf.term import Term
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.rules import InferenceTrace
@@ -76,22 +78,33 @@ class ShardBackend:
 
     Attributes: ``kind`` (``"inline"`` / ``"process"``), ``num_shards``,
     ``library``, ``router``, ``counter`` (the shared arrival-order
-    annotation index allocator), ``store`` (a
-    :class:`~repro.semantics.rdf.sharding.ShardedGraphStore`-shaped view
-    of the partitions), ``services``, ``reasoners``, ``recovered``,
-    ``quarantined``.
+    annotation index allocator), ``services``, ``reasoners``,
+    ``recovered``, ``replicated_triples``, ``quarantined``.
 
-    A transport supplies :meth:`_run` and what is genuinely its own:
-    ``versions()``, ``register_standing`` / ``standing_views`` /
-    ``refresh_views``, ``attach_persistence`` / ``commit`` / ``close``,
-    ``health()`` and ``_load(shard)``.  Every shard operation below is
-    written once over ``_run``.
+    A transport builds its shards (fresh partitions come from
+    :func:`~repro.semantics.rdf.sharding.build_partitions`, each then
+    given the IK catalogue) and supplies :meth:`_run` and what is
+    genuinely its own: ``versions()``, ``register_standing`` /
+    ``standing_views`` / ``refresh_views``, ``attach_persistence`` /
+    ``commit`` / ``close``, ``health()`` and ``_load(shard)``.  Every
+    shard operation below is written once over ``_run``.
     """
 
     kind = ""
-    num_shards = 0
+    #: triples per partition right after axiom replication (0 when the
+    #: partitions were adopted or recovered rather than built)
+    replicated_triples = 0
     #: poison batches written to the dead-letter journal this session
     quarantined = 0
+
+    def __init__(self, library, knowledge_base, shards: int, persistence=None):
+        self.library = library
+        self.knowledge_base = knowledge_base
+        self.num_shards = shards
+        self.router = ShardRouter(shards)
+        self.persistence = persistence
+        self.recovered = persistence is not None and persistence.recoverable
+        self.services = ServiceRegistry(replicate=self.replicate, retract=self.retract)
 
     def _run(self, requests: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
         """The transport: ``{shard: (Shard method name, args)}`` in,
@@ -127,7 +140,7 @@ class ShardBackend:
             self.reason(range(self.num_shards))
         if self.num_shards == 1:
             # one shard is not a federation: its planner answers, no merge
-            return federated_query(self.store.graphs, text)
+            return federated_query(self.graphs, text)
         return federate(
             text,
             self.library.graph,
@@ -144,11 +157,13 @@ class ShardBackend:
     # replication (service descriptions, ontology deltas)
     # -------------------------------------------------------------- #
 
-    def replicate_to(self, shard: int, triples: List[Triple]) -> int:
-        return self._run({shard: ("replicate", (triples,))})[shard]
+    def replicate(self, triples: List[Triple]) -> int:
+        """Add the same triples to every shard, in one round."""
+        return sum(self._run_all("replicate", triples))
 
-    def retract_subject(self, shard: int, subject: Term) -> int:
-        return self._run({shard: ("retract", (subject,))})[shard]
+    def retract(self, subject: Term) -> int:
+        """Remove every triple about ``subject`` from every shard."""
+        return sum(self._run_all("retract", subject))
 
     # -------------------------------------------------------------- #
     # durability and observability
@@ -160,6 +175,21 @@ class ShardBackend:
     def shard_stats(self) -> List[dict]:
         """Every shard's :meth:`Shard.stats <repro.core.shard.Shard.stats>`."""
         return self._run_all("stats")
+
+    def shard_sizes(self) -> List[int]:
+        """Resident triples per shard."""
+        return [info["triples"] for info in self.shard_stats()]
+
+    def triple_count(self) -> int:
+        """Resident triples across the shards (axioms counted per shard)."""
+        return sum(self.shard_sizes())
+
+    @property
+    def graphs(self) -> List[Graph]:
+        """Every shard's graph: the live object of an in-process shard, a
+        full copy of a worker's — correct but expensive, for tests and
+        offline inspection."""
+        return self._run_all("dump")
 
     def planner_statistics(self) -> PlannerStatistics:
         """Planner / cache counters summed across the shards."""
@@ -198,7 +228,7 @@ class ShardBackend:
 class InlineShardBackend(ShardBackend):
     """N shards in this interpreter, called directly and serially.
 
-    A one-shard store *adopts* the library graph — ontology axioms, IK
+    One shard *adopts* the library graph — ontology axioms, IK
     catalogue, service descriptions and annotations share one graph, and
     queries go straight through its planner with no merge step, which is
     what makes it the oracle the federated layouts are compared against.
@@ -209,29 +239,24 @@ class InlineShardBackend(ShardBackend):
     kind = "inline"
 
     def __init__(self, library, knowledge_base, shards: int, persistence=None):
-        self.library = library
-        self.num_shards = shards
-        self.persistence = persistence
-        self.recovered = persistence is not None and persistence.recoverable
+        super().__init__(library, knowledge_base, shards, persistence)
         if self.recovered:
             # the recovered partitions already hold the replicated axioms
             # (they were in each shard's gen-0 snapshot)
             graphs = persistence.recover_all(expected_shards=shards, backend="inline")
-            self.store = ShardedGraphStore(shards, graphs=graphs)
         elif shards == 1:
-            self.store = ShardedGraphStore(1, graphs=[library.graph])
+            graphs = [library.graph]
         else:
-            self.store = ShardedGraphStore(shards, base_graph=library.graph)
-        self.router = self.store.router
-        # idempotent on recovery: the indicators use deterministic IRIs,
-        # so re-materialising adds (and therefore journals) nothing new
-        self.store.replicate_with(knowledge_base.materialize)
+            graphs, self.replicated_triples = build_partitions(shards, library.graph)
+        for graph in graphs:
+            # idempotent on recovery: the indicators use deterministic IRIs,
+            # so re-materialising adds (and therefore journals) nothing new
+            knowledge_base.materialize(graph)
         self.counter = itertools.count(
-            next_annotation_index(self.store.graphs) if self.recovered else 1
+            next_annotation_index(graphs) if self.recovered else 1
         )
-        self.shards = [Shard(graph, knowledge_base) for graph in self.store.graphs]
+        self.shards = [Shard(graph, knowledge_base) for graph in graphs]
         self.reasoners = [shard.reasoner for shard in self.shards]
-        self.services = ServiceRegistry(self.store.graphs)
         #: Wall-clock seconds each shard spent on its last operation.
         self.last_batch_latency: Dict[int, float] = {}
 
@@ -244,7 +269,7 @@ class InlineShardBackend(ShardBackend):
         return results
 
     def versions(self) -> List[int]:
-        return self.store.versions()
+        return [shard.graph.version for shard in self.shards]
 
     # -------------------------------------------------------------- #
     # standing views
@@ -305,7 +330,7 @@ class InlineShardBackend(ShardBackend):
         if self.persistence is None:
             return
         if not self.recovered:
-            self.persistence.attach_all(self.store.graphs, backend="inline")
+            self.persistence.attach_all(self.graphs, backend="inline")
         for shard, segment in zip(self.shards, self.persistence.shards):
             shard.attach(segment)
 

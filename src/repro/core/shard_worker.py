@@ -83,10 +83,8 @@ from repro.core.faults import (
     ShardBreaker,
     ShardUnavailableError,
 )
-from repro.core.services import ServiceRegistry
 from repro.core.shard import Shard
 from repro.core.shard_backend import ShardBackend
-from repro.core.shard_router import ShardRouter
 from repro.core.shard_wire import (
     ALWAYS,
     DEGRADED,
@@ -107,9 +105,7 @@ from repro.core.shard_wire import (
 )
 from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, ShardPersistence
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.sharding import ShardedGraphStore
-from repro.semantics.rdf.term import Term
-from repro.semantics.rdf.triple import Triple
+from repro.semantics.rdf.sharding import build_partitions
 from repro.semantics.sparql.views import ViewDelta
 
 _INGEST = OPS["ingest"]
@@ -398,76 +394,6 @@ class ProcessViewHandle:
         return f"<ProcessViewHandle {self.name!r} shard={self.shard}>"
 
 
-class _WorkerGraphProxy:
-    """Write-through stand-in for one worker's graph.
-
-    Lets the parent-side :class:`ServiceRegistry` keep its ``graph.add``
-    / ``graph.remove_matching`` contract: service descriptions written
-    through the proxy are replicated into the owning worker's partition.
-    """
-
-    def __init__(self, backend: "ProcessShardBackend", shard: int):
-        self._backend = backend
-        self._shard = shard
-
-    def add(self, triple) -> bool:
-        return self.add_all([triple]) > 0
-
-    def add_all(self, triples: Iterable) -> int:
-        materialised = [
-            triple if isinstance(triple, Triple) else Triple(*triple)
-            for triple in triples
-        ]
-        return self._backend.replicate_to(self._shard, materialised)
-
-    def remove_matching(self, subject: Optional[Term] = None, **kwargs) -> int:
-        if subject is None or kwargs:
-            raise NotImplementedError(
-                "process-shard graph proxies only support subject retraction"
-            )
-        return self._backend.retract_subject(self._shard, subject)
-
-    def __repr__(self) -> str:
-        return f"<_WorkerGraphProxy shard={self._shard}>"
-
-
-class ProcessShardStore:
-    """A :class:`ShardedGraphStore`-shaped facade over worker processes.
-
-    Serves the store surface the layer consumes.  ``graphs`` ships every
-    partition as a full snapshot over the ``dump`` op — correct but
-    expensive, intended for tests and offline inspection, not the hot path.
-    """
-
-    def __init__(self, backend: "ProcessShardBackend", replicated_triples: int):
-        self._backend = backend
-        self.router = backend.router
-        self.replicated_triples = replicated_triples
-
-    @property
-    def num_shards(self) -> int:
-        return self._backend.num_shards
-
-    def shard_for(self, area: Optional[str]) -> int:
-        return self.router.shard_for(area)
-
-    @property
-    def graphs(self) -> List[Graph]:
-        return self._backend._run_all("dump")
-
-    def triple_count(self) -> int:
-        return sum(self.shard_sizes())
-
-    def shard_sizes(self) -> List[int]:
-        return [info["triples"] for info in self._backend.shard_stats()]
-
-    def versions(self) -> List[int]:
-        return [info["version"] for info in self._backend.shard_stats()]
-
-    def __repr__(self) -> str:
-        return f"<ProcessShardStore shards={self.num_shards}>"
-
-
 class ProcessShardBackend(ShardBackend):
     """Shared-nothing multi-core sharding: one worker process per partition.
 
@@ -489,14 +415,8 @@ class ProcessShardBackend(ShardBackend):
         fault_plan: Optional[FaultPlan] = None,
         dead_letter=None,
     ):
-        self.library = library
-        self.knowledge_base = knowledge_base
-        self.num_shards = shards
-        self.router = ShardRouter(shards)
-        self.persistence = persistence
-        recovered = persistence is not None and persistence.recoverable
-        self.recovered = recovered
-        if recovered:
+        super().__init__(library, knowledge_base, shards, persistence)
+        if self.recovered:
             # the workers recover their own partitions; the parent only
             # validates that the store matches the layout
             persistence.validate_meta(expected_shards=shards, backend="process")
@@ -524,20 +444,16 @@ class ProcessShardBackend(ShardBackend):
         self._faults = plan.session(recoverable=persistence is not None)
         self._incarnations = [0] * shards
 
-        replicated = 0
         graphs: List[Optional[Graph]] = [None] * shards
-        if not recovered:
+        if not self.recovered:
             # build the partitions in the parent (axiom base + IK catalogue
             # replicated into each) and hand them to the workers via fork —
             # copy-on-write, nothing is pickled
-            seed_store = ShardedGraphStore(
-                shards, base_graph=library.graph, router=self.router
-            )
-            seed_store.replicate_with(knowledge_base.materialize)
-            replicated = seed_store.replicated_triples
-            graphs = list(seed_store.graphs)
+            graphs, self.replicated_triples = build_partitions(shards, library.graph)
+            for graph in graphs:
+                knowledge_base.materialize(graph)
         self.workers: List[_WorkerHandle] = [
-            self._spawn(index, graphs[index], recovered) for index in range(shards)
+            self._spawn(index, graphs[index], self.recovered) for index in range(shards)
         ]
         del graphs
         # belt-and-braces reaper: a backend dropped without close() must
@@ -545,13 +461,8 @@ class ProcessShardBackend(ShardBackend):
         self._reap_entries = [[w.process, w.conn] for w in self.workers]
         self._finalizer = weakref.finalize(self, _reap_workers, self._reap_entries)
 
-        start = (
-            max(worker.next_index for worker in self.workers) if recovered else 1
-        )
-        self.counter = itertools.count(start)
-        self.store = ProcessShardStore(self, 0 if recovered else replicated)
-        self.services = ServiceRegistry(
-            [_WorkerGraphProxy(self, index) for index in range(shards)]
+        self.counter = itertools.count(
+            max(worker.next_index for worker in self.workers) if self.recovered else 1
         )
         if persistence is not None:
             # a simulated whole-store kill must take the workers down too,

@@ -177,7 +177,6 @@ class DroughtEarlyWarningSystem:
             mediator = passthrough_mediator()
         middleware_config = MiddlewareConfig(
             annotate_observations=self.config.annotate_observations,
-            install_sensor_rules=True,
             install_ik_rules=self.config.use_indigenous_knowledge,
             cep_per_record=False,
             shards=self.config.shards,

@@ -14,10 +14,10 @@ between (1) and (3) leaves both generations, and recovery simply picks the
 newest valid snapshot.  Recovery replays the matching WAL, truncates any
 torn tail, and re-opens the segment for appending.
 
-:class:`StorePersistence` manages one directory tree for a whole
-:class:`~repro.semantics.rdf.sharding.ShardedGraphStore` (or a single
-graph — a one-shard store), owns ``meta.json`` (the shard count is fixed
-at first attach; re-sharding an existing data dir is refused) and
+:class:`StorePersistence` manages one directory tree for all the
+partitions of a layer (or a single graph — a one-shard store), owns
+``meta.json`` (the shard count is fixed at first attach; re-sharding an
+existing data dir is refused) and
 ``views.json`` (standing-view registrations replayed on restart).
 """
 

@@ -43,7 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.semantics.rdf.dictionary import TermDictionary, TripleIds
 from repro.semantics.rdf.namespace import NamespaceManager, RDF
-from repro.semantics.rdf.term import BlankNode, IRI, Literal, Term, Variable, as_term
+from repro.semantics.rdf.term import IRI, Literal, Term, Variable, as_term
 from repro.semantics.rdf.triple import Triple
 
 TriplePattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]

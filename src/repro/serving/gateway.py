@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import inspect
 import json
 import threading
 import time
@@ -131,11 +130,6 @@ class Gateway:
         self.config = config or ServingConfig()
         self._layer = self._resolve_layer(engine)
         self._broker = getattr(engine, "broker", None)
-        try:
-            signature = inspect.signature(engine.register_standing)
-            self._register_supports_push = "push" in signature.parameters
-        except (TypeError, ValueError):
-            self._register_supports_push = False
 
         #: Monotone counter of served mutations; part of the cache key.
         self._mutations = 0
@@ -367,19 +361,10 @@ class Gateway:
             raise BadRequestError(
                 f"view {name!r} is already registered", detail={"name": name}
             )
-        if push and not self._register_supports_push:
-            raise BadRequestError(
-                "this engine does not support push-mode views"
-            )
         try:
-            if self._register_supports_push:
-                handle = await self._run_engine(
-                    self.engine.register_standing, text, name=name, push=push
-                )
-            else:
-                handle = await self._run_engine(
-                    self.engine.register_standing, text, name=name
-                )
+            handle = await self._run_engine(
+                self.engine.register_standing, text, name=name, push=push
+            )
         except ValueError as exc:
             raise QueryError.wrap(exc)
         key = handle.name or name or text

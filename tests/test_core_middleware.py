@@ -182,11 +182,12 @@ class TestSemanticMiddleware:
     def test_heterogeneous_sources_converge_on_topic(self, middleware):
         received = []
         middleware.subscribe_property("water_level", received.append)
-        middleware.ingest_records([
+        for raw in [
             record("Hoehe", 120.0, "cm", source_id="Mangaung-gauge-1"),
             record("Stav", 1.2, "m", source_id="Mangaung-gauge-2"),
             record("water level", 1200.0, "mm", source_id="Mangaung-gauge-3"),
-        ])
+        ]:
+            middleware.ingest_record(raw)
         assert len(received) == 3
         values = sorted(event.value for event in received)
         assert values == pytest.approx([1200.0, 1200.0, 1200.0])
@@ -279,6 +280,6 @@ class TestInterfaceLayer:
 
         cloud = CloudStore()
         cloud.ingest("this is not json", 0.0)
-        layer = InterfaceProtocolLayer(cloud, sink=lambda r: None)
+        layer = InterfaceProtocolLayer(cloud, batch_sink=lambda records: None)
         layer.poll()
         assert layer.statistics.decode_failures == 1

@@ -583,7 +583,7 @@ def test_validation_rejects_counted_without_data_dir():
     good, bad = _unvalidatable_stream()
     middleware = _gullible_middleware()
     try:
-        # the record-major path rejects identically to the batch path
+        # batches of one reject identically to one batch
         for record in good + bad:
             middleware.ingest_record(record)
         assert middleware.ontology_layer.statistics.validation_rejects == len(bad)

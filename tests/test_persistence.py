@@ -620,6 +620,45 @@ class TestMiddlewareKillRestart:
         assert deliveries, f"seed={SEED}: push-mode view not re-wired after recovery"
         recovered.close()
 
+    def test_anonymous_views_each_survive_a_restart(self, tmp_path):
+        """Two unnamed registrations are two views: each gets its own name
+        and ``views.json`` record, and both come back after a restart."""
+        value_query = OBSERVATION_QUERY.replace("?s WHERE", "?s ?v WHERE").replace(
+            " . }",
+            " . ?s <http://purl.oclc.org/NET/ssnx/ssn#hasResult> ?r ."
+            " ?r <http://purl.oclc.org/NET/ssnx/ssn#hasValue> ?v . }",
+        )
+        durable = self._build(data_dir=tmp_path / "data")
+        first = durable.register_standing(OBSERVATION_QUERY)
+        second = durable.register_standing(value_query)
+        assert first.name != second.name
+        assert durable.register_standing(OBSERVATION_QUERY).name == first.name
+        durable.ingest_batch(make_records(random.Random(SEED + 8), 20))
+        expected = {
+            text: row_bag(durable.query(text))
+            for text in (OBSERVATION_QUERY, value_query)
+        }
+        assert all(expected.values())
+        durable.close()
+
+        recovered = self._build(data_dir=tmp_path / "data")
+        registrations = recovered.ontology_layer.persistence.standing_registrations()
+        assert {r["name"]: r["text"] for r in registrations} == {
+            first.name: OBSERVATION_QUERY,
+            second.name: value_query,
+        }
+        views = recovered.ontology_layer.standing_views()
+        assert {view.name for view in views} == {first.name, second.name}
+        for name, text in ((first.name, OBSERVATION_QUERY), (second.name, value_query)):
+            # (a shard's view keeps full rows; the projection is the query's)
+            assert sum(len(v.rows()) for v in views if v.name == name) == sum(
+                expected[text].values()
+            )
+            hits = recovered.ontology_layer.planner_statistics().view_hits
+            assert row_bag(recovered.query(text)) == expected[text]
+            assert recovered.ontology_layer.planner_statistics().view_hits > hits
+        recovered.close()
+
     def test_annotation_counter_continues_after_recovery(self, tmp_path):
         rng = random.Random(SEED + 3)
         durable = self._build(data_dir=tmp_path / "data")

@@ -1,6 +1,8 @@
 """Tests for the staged ingestion pipeline and the batch ingestion APIs."""
 
 import math
+import random
+from dataclasses import asdict
 
 import pytest
 
@@ -16,6 +18,9 @@ from repro.core.mediator import Mediator
 from repro.ontologies import build_unified_ontology
 from repro.streams.messages import ObservationRecord
 from repro.streams.scheduler import DAY
+
+from test_process_backend import build, graph_bags
+from test_sharding import event_key, make_stream
 
 
 def record(property_name="Bodenfeuchte", value=15.0, unit="percent",
@@ -81,15 +86,17 @@ class TestPipelineAbstraction:
                 return False
 
         pipeline = Pipeline([Reject()])
-        context = pipeline.run(IngestionContext(record=object()))
+        context = IngestionContext(record=object())
+        assert pipeline.run_batch([context]) == []
         assert context.dropped_by == "reject"
 
     def test_mediate_stage_batch_matches_single(self):
         records = mixed_workload()
         single = Pipeline([MediateStage(Mediator())])
         batch = Pipeline([MediateStage(Mediator())])
-        single_out = [single.run(IngestionContext(r)) for r in records]
-        single_survivors = [c for c in single_out if c.dropped_by is None]
+        single_survivors = [
+            c for r in records for c in single.run_batch([IngestionContext(r)])
+        ]
         batch_survivors = batch.run_batch([IngestionContext(r) for r in records])
         assert len(single_survivors) == len(batch_survivors)
         for a, b in zip(single_survivors, batch_survivors):
@@ -127,7 +134,8 @@ class TestBatchIngestionEquivalence:
         single = self.build(libraries[0])
         batch = self.build(libraries[1])
 
-        single_events = single.ingest_records(records)
+        looped = [single.ingest_record(r) for r in records]
+        single_events = [event for event in looped if event is not None]
         batch_events = batch.ingest_batch(records)
 
         assert len(single_events) == len(batch_events)
@@ -147,6 +155,28 @@ class TestBatchIngestionEquivalence:
         assert single_stats.derived_events == batch_stats.derived_events
         assert single_stats.annotation_triples == batch_stats.annotation_triples
         assert len(single.graph) == len(batch.graph)
+
+    def test_ingest_record_is_a_batch_of_one(self):
+        """``ingest_record(r)`` and ``ingest_batch([r])`` are one code path:
+        same events, graphs, layer / mediator / per-stage counters."""
+        records = make_stream(random.Random(41), 60)
+        with build(3, "inline") as by_record, build(3, "inline") as by_batch:
+            looped = [by_record.ingest_record(r) for r in records]
+            batched = [next(iter(by_batch.ingest_batch([r])), None) for r in records]
+            assert None in looped  # the stream carries junk on purpose
+            assert [e and event_key(e) for e in looped] == [
+                e and event_key(e) for e in batched
+            ]
+            one, other = by_record.ontology_layer, by_batch.ontology_layer
+            assert graph_bags(one) == graph_bags(other)
+            assert one.statistics == other.statistics
+            assert asdict(one.mediator.statistics) == asdict(other.mediator.statistics)
+            assert asdict(one.pipeline.statistics) == asdict(other.pipeline.statistics)
+            entered = one.pipeline.statistics.stages
+            assert entered["mediate"].entered == len(records)
+            assert entered["mediate"].dropped + entered["validate"].dropped == (
+                looped.count(None)
+            )
 
     def test_batch_publishes_canonical_and_derived_events(self, libraries):
         middleware = self.build(libraries[0])

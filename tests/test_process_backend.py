@@ -124,7 +124,7 @@ def test_process_matches_inline_randomized(seed):
         half = len(records) // 2
         inline_events = inline.ingest_batch(records[:half])
         process_events = proc.ingest_batch(records[:half])
-        # record-major tail: the single-record path must match too
+        # one-record tail: batches of one must match too
         for record in records[half:]:
             event = inline.ingest_record(record)
             if event is not None:
@@ -580,8 +580,8 @@ OPTIONAL_ORDERED_QUERY = """SELECT DISTINCT ?obs ?p WHERE {
 @pytest.mark.parametrize("shards, backend", LAYOUTS)
 def test_one_shape_on_every_layout(shards, backend, tmp_path, monkeypatch):
     """One ``Shard``, two transports: every layout reports the same shape,
-    counts the same receipts, builds the same graphs record- or batch-major
-    and answers through the one federator."""
+    counts the same receipts, builds the same graphs one record at a time
+    or in one batch and answers through the one federator."""
     merges = []
     merge = planner.merge_federated_solutions
 
@@ -605,7 +605,7 @@ def test_one_shape_on_every_layout(shards, backend, tmp_path, monkeypatch):
         assert receipt.rejected > 0  # the stream carries junk on purpose
         assert [event_key(e) for e in receipt] == [event_key(e) for e in expected]
 
-        # record-major and batch-major ingestion build the same graphs
+        # batches of one and one whole batch build the same graphs
         looped = [by_record.ingest_record(record) for record in records]
         assert [event_key(e) for e in looped if e is not None] == [
             event_key(e) for e in receipt
@@ -664,8 +664,7 @@ def test_one_shape_on_every_layout(shards, backend, tmp_path, monkeypatch):
 
         if backend == "inline":
             # in-process shards hand out the live objects, not copies
-            assert layer.graphs is layer.graphs
-            assert all(a is b for a, b in zip(layer.graphs, layer.store.graphs))
+            assert all(a is b for a, b in zip(layer.graphs, layer.graphs))
             assert [r.graph for r in layer.reasoners] == layer.graphs
             assert (layer.graph is layer.graphs[0]) == (shards == 1)
         else:
@@ -723,16 +722,58 @@ def test_dews_process_backend_end_to_end():
         assert stats["graph_triples"] == sum(stats["sharding"]["shard_sizes"])
 
 
-def test_process_services_visible_from_every_partition():
-    proc = build(3, "process")
-    try:
-        layer = proc.ontology_layer
-        assert len(layer.services.graphs) == 3
-        text = """SELECT ?s WHERE {
-            ?s rdf:type africrid:SemanticService .
-        }"""
-        assert len(proc.query(text).solutions) == len(layer.services.all())
-        assert layer.services.unregister("ontology-query")
-        assert len(proc.query(text).solutions) == len(layer.services.all())
-    finally:
-        proc.close()
+def test_process_services_visible_from_every_partition(monkeypatch):
+    """The catalogue write path: a service's triples are built once and
+    reach every partition in one ``replicate`` round (one ``retract`` round
+    to unregister) — on both transports, with the same catalogue answers."""
+    from repro.core.services import SemanticService
+    from repro.core.shard_wire import OP_REPLICATE, OP_RETRACT_SUBJECT
+    from repro.core.shard_worker import ProcessShardBackend
+    from repro.ontologies.vocabulary import DROUGHT
+    from repro.semantics.rdf.namespace import RDF
+    from repro.semantics.rdf.triple import Triple
+
+    rounds = []
+    scatter = ProcessShardBackend.scatter
+
+    def recording(self, requests):
+        requests = list(requests)
+        rounds.append([opcode for _, opcode, _ in requests])
+        return scatter(self, requests)
+
+    monkeypatch.setattr(ProcessShardBackend, "scatter", recording)
+    text = """SELECT ?s WHERE {
+        ?s rdf:type africrid:SemanticService .
+    }"""
+    service = SemanticService(
+        name="forecast-feed",
+        topic="forecast/#",
+        description="District drought forecasts",
+        provides=[DROUGHT.DroughtEvent],
+    )
+    described = Triple(service.iri(), RDF.type, AFRICRID.SemanticService)
+    with build(3, "process") as proc, build(3, "inline") as inline:
+        # construction publishes the three default services: one round each
+        writes = [ops for ops in rounds if OP_REPLICATE in ops]
+        assert 0 < len(writes) <= 3
+        assert all(ops == [OP_REPLICATE] * 3 for ops in writes)
+
+        del rounds[:]
+        for middleware in (proc, inline):
+            middleware.ontology_layer.services.register(service)
+        assert rounds == [[OP_REPLICATE] * 3]
+        for middleware in (proc, inline):
+            layer = middleware.ontology_layer
+            assert len(layer.services.all()) == 4
+            assert len(middleware.query(text).solutions) == 4
+            assert len(layer.graphs) == 3
+            assert all(described in graph for graph in layer.graphs)
+
+        del rounds[:]
+        for middleware in (proc, inline):
+            assert middleware.ontology_layer.services.unregister("forecast-feed")
+        assert rounds == [[OP_RETRACT_SUBJECT] * 3]
+        for middleware in (proc, inline):
+            layer = middleware.ontology_layer
+            assert len(middleware.query(text).solutions) == 3
+            assert not any(described in graph for graph in layer.graphs)

@@ -154,7 +154,7 @@ class TestTypedApi:
 
     def test_layer_statistics_is_callable_and_attribute(self, middleware):
         layer = middleware.ontology_layer
-        layer.process_batch([record(value=10.0, timestamp=5000.0)])
+        layer.ingest_batch([record(value=10.0, timestamp=5000.0)])
         assert layer.statistics.records_in >= 1     # attribute contract
         snapshot = layer.statistics()               # unified callable form
         assert snapshot["records_in"] == layer.statistics.records_in
@@ -723,8 +723,8 @@ class _DegradedEngine:
         result.missing_shards = (1,)
         return result
 
-    def register_standing(self, text, name=None):
-        return StandingViewHandle([], name=name, text=text)
+    def register_standing(self, text, name=None, push=False):
+        return StandingViewHandle([], name=name, text=text, push=push)
 
     def subscribe(self, pattern, handler):
         return None

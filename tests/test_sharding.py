@@ -28,8 +28,8 @@ from repro.core.shard_router import ShardRouter
 from repro.ontologies.library import build_unified_ontology
 from repro.ontologies.vocabulary import AFRICRID
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.namespace import Namespace
-from repro.semantics.rdf.sharding import ShardedGraphStore
+from repro.semantics.rdf.namespace import RDF, Namespace
+from repro.semantics.rdf.sharding import build_partitions
 from repro.semantics.rdf.term import IRI, Literal
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.sparql.planner import federated_query, planner_for
@@ -222,8 +222,10 @@ def test_sharded_record_major_matches_batch():
     by_batch = build_middleware(shards=3, cep_per_record=False)
     by_record = build_middleware(shards=3, cep_per_record=False)
     events_batch = by_batch.ingest_batch(batch)
-    events_record = by_record.ingest_records(batch)
-    assert [event_key(e) for e in events_batch] == [event_key(e) for e in events_record]
+    events_record = [by_record.ingest_record(record) for record in batch]
+    assert [event_key(e) for e in events_batch] == [
+        event_key(e) for e in events_record if e is not None
+    ]
     for query_text in QUERIES[:4]:
         assert solution_set(by_batch.query(query_text)) == solution_set(
             by_record.query(query_text)
@@ -274,25 +276,32 @@ def test_router_split_preserves_order():
             assert router.shard_for(DISTRICTS[value % len(DISTRICTS)]) == shard
 
 
-def test_store_replicates_axioms_into_every_shard():
+def test_partitions_replicate_axioms_into_every_shard():
     base = Graph()
+    base.namespaces.bind("ex", EX)
     axioms = [
         Triple(EX.A, EX.subClassOf, EX.B),
         Triple(EX.B, EX.subClassOf, EX.C),
     ]
     base.add_all(axioms)
-    store = ShardedGraphStore(3, base_graph=base)
-    assert store.replicated_triples == 2
-    for shard in store.graphs:
-        assert shard.dictionary is not base.dictionary
+    graphs, replicated = build_partitions(3, base)
+    assert len(graphs) == 3 and replicated == 2
+    assert len(base) == 2  # the axiom base itself is not touched
+    dictionaries = {id(graph.dictionary) for graph in graphs}
+    assert len(dictionaries) == 3 and id(base.dictionary) not in dictionaries
+    for graph in graphs:
+        assert graph.namespaces is not base.namespaces
+        assert graph.namespaces.expand("ex:A") == EX.A
         for axiom in axioms:
-            assert axiom in shard
+            assert axiom in graph
     # per-shard writes stay local
-    store.graph_for("somewhere").add(Triple(EX.x, EX.p, EX.y))
-    assert sum(Triple(EX.x, EX.p, EX.y) in g for g in store.graphs) == 1
-    assert store.triple_count() == 3 * 2 + 1
-    union = store.union_graph()
-    assert len(union) == 3  # replicated axioms collapse in the union
+    graphs[ShardRouter(3).shard_for("somewhere")].add(Triple(EX.x, EX.p, EX.y))
+    assert sum(Triple(EX.x, EX.p, EX.y) in g for g in graphs) == 1
+    assert sum(len(g) for g in graphs) == 3 * 2 + 1
+    union = Graph()
+    for graph in graphs:
+        union.add_from(graph)
+    assert len(union) == 3  # replicated axioms collapse in a union
     assert Triple(EX.x, EX.p, EX.y) in union
 
 
@@ -446,24 +455,25 @@ def test_federated_limit_query_uses_per_shard_result_caches():
 
 def test_sharded_layer_cache_survives_other_district_ingest():
     middleware = build_middleware(shards=4, cep_per_record=False)
-    store = middleware.ontology_layer.store
+    layer = middleware.ontology_layer
+    router = ShardRouter(layer.shards)
     rng = random.Random(3)
     middleware.ingest_batch(make_stream(rng, 80))
     query_text = area_query(DISTRICTS[0])
     first = middleware.query(query_text)
-    versions = store.versions()
+    versions = layer.versions()
     # a batch confined to a different district leaves district-0's shard
     # version (and therefore its cached results) untouched
     other = [
         r
         for r in make_stream(rng, 120)
         if r.metadata.get("area")
-        and store.shard_for(r.metadata["area"]) != store.shard_for(DISTRICTS[0])
+        and router.shard_for(r.metadata["area"]) != router.shard_for(DISTRICTS[0])
     ]
     assert other
     middleware.ingest_batch(other)
-    target = store.shard_for(DISTRICTS[0])
-    assert store.versions()[target] == versions[target]
+    target = router.shard_for(DISTRICTS[0])
+    assert layer.versions()[target] == versions[target]
     again = middleware.query(query_text)
     assert solution_set(first) == solution_set(again)
 
@@ -476,7 +486,10 @@ def test_sharded_layer_cache_survives_other_district_ingest():
 def test_sharded_services_visible_from_every_partition():
     middleware = build_middleware(shards=3, cep_per_record=False)
     layer = middleware.ontology_layer
-    assert len(layer.services.graphs) == 3
+    catalogue = Triple(
+        AFRICRID["service/ontology-query"], RDF.type, AFRICRID.SemanticService
+    )
+    assert len(layer.graphs) == 3 and all(catalogue in g for g in layer.graphs)
     result = middleware.query(
         "SELECT ?s WHERE { ?s rdf:type africrid:SemanticService }"
     )
@@ -486,6 +499,7 @@ def test_sharded_services_visible_from_every_partition():
         "SELECT ?s WHERE { ?s rdf:type africrid:SemanticService }"
     )
     assert len(result) == 2
+    assert not any(catalogue in g for g in layer.graphs)
 
 
 def test_dews_runs_end_to_end_with_shards():
@@ -545,7 +559,7 @@ def test_one_shard_store_is_the_unsharded_layer():
     assert layer.sharding_statistics() is None
     assert "sharding" not in middleware.statistics()
     # the one shard adopts (not copies) the library graph
-    assert layer.store.num_shards == 1
+    assert layer.shards == 1 and len(layer.graphs) == 1
     assert layer.graphs[0] is layer.library.graph is middleware.graph
     middleware.ingest_batch(make_stream(random.Random(9), 40))
     # it answers through its planner with no merge step: one planner query
