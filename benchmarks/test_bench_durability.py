@@ -189,6 +189,14 @@ def test_bench_wal_append_overhead(tmp_path, wall_clock_thresholds):
         )
 
 
+def _cold_recover(data_dir: Path):
+    """What a restarted layer's shards do: check the layout, then recover
+    each shard's segment from the store's factory."""
+    recovery = StorePersistence(str(data_dir))
+    recovery.validate_meta(expected_shards=SHARDS)
+    return recovery, [recovery.segment(index).recover() for index in range(SHARDS)]
+
+
 def test_bench_recovery_time_vs_store_size(tmp_path):
     """Cold recovery (snapshot load + WAL replay) at growing store sizes."""
     data_dir = tmp_path / "store"
@@ -200,8 +208,7 @@ def test_bench_recovery_time_vs_store_size(tmp_path):
             continue
         triples = sum(len(graph) for graph in durable.ontology_layer.graphs)
         start = time.perf_counter()
-        recovery = StorePersistence(str(data_dir))
-        graphs = recovery.recover_all(expected_shards=SHARDS)
+        recovery, graphs = _cold_recover(data_dir)
         seconds = time.perf_counter() - start
         assert sum(len(graph) for graph in graphs) == triples
         recovery.close()
@@ -215,8 +222,7 @@ def test_bench_recovery_time_vs_store_size(tmp_path):
     # the same store afterwards replays (almost) nothing
     durable.ontology_layer.checkpoint()
     start = time.perf_counter()
-    recovery = StorePersistence(str(data_dir))
-    graphs = recovery.recover_all(expected_shards=SHARDS)
+    recovery, graphs = _cold_recover(data_dir)
     checkpointed_seconds = time.perf_counter() - start
     recovery.close()
     rows.append({

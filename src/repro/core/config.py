@@ -58,9 +58,10 @@ class MiddlewareConfig:
     #: re-wired to the broker.
     data_dir: Optional[str] = None
     #: WAL durability policy: ``"always"`` (fsync per record), ``"batch"``
-    #: (fsync once per ingest batch — the default) or ``"never"``.
+    #: (one fsync per write op on the shard it wrote — the default) or
+    #: ``"never"``.
     wal_fsync: str = "batch"
-    #: WAL records per shard segment before the post-batch checkpoint
+    #: WAL records per shard segment before the commit that reaches it
     #: rolls a fresh snapshot and truncates the log.
     snapshot_interval: int = 50_000
     #: Deadline (seconds) for every RPC to a shard worker process; a

@@ -174,8 +174,6 @@ class OntologySegmentLayer:
             ]
         )
         self._register_default_services()
-        # only now, so the base content lands in the generation-0 snapshots
-        self._backend.attach_persistence()
         if self.recovered:
             if config.reason_per_batch:
                 # the pipeline expects closures to be current between
@@ -241,7 +239,9 @@ class OntologySegmentLayer:
 
         Mediation runs as one batch call, annotation triples are committed
         with a single ``graph.add_all`` per shard and the CEP engine is
-        flushed once after all records have been published.  The receipt
+        flushed once after all records have been published.  On a durable
+        layer each shard's share is committed by the shard as its ``ingest``
+        op returns — before the publish stage runs.  The receipt
         iterates as the accepted events (the old ``List[Event]`` contract);
         ``rejected`` counts the records a pipeline stage dropped during
         *this* call (each journaled to the dead-letter file), and
@@ -252,7 +252,6 @@ class OntologySegmentLayer:
         self.statistics.records_in += len(contexts)
         quarantined_before = self._backend.quarantined
         survivors = self.pipeline.run_batch(contexts)
-        self._backend.commit()
         return IngestReceipt(
             [context.event for context in survivors],
             rejected=len(contexts) - len(survivors),

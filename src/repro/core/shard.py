@@ -4,16 +4,20 @@ A :class:`Shard` is the unit both shard transports execute: a ``Graph``
 with the :class:`~repro.core.annotation.SemanticAnnotator` that writes
 into it, the :class:`~repro.semantics.reasoner.Reasoner` that closes it,
 the standing views registered on it and — when the layer is durable — the
-:class:`~repro.persistence.store.ShardPersistence` segment behind it.
+:class:`~repro.persistence.store.ShardPersistence` segment behind it,
+which the shard itself attaches (fresh partition) or recovers (no
+partition handed in) as it is built.
 
-:class:`~repro.core.shard_backend.InlineShardBackend` holds N shards and
-calls these methods directly; a :mod:`~repro.core.shard_worker` process
-holds one and calls the same methods after decoding a request.  Every
-method a backend calls has one row in the op table
-(:data:`repro.core.shard_wire.OPS`), which is all either transport needs
-to know about it.  *When* journalled writes are committed is the
-transport's decision (once per batch in-process, once per op in a
-worker), so only :meth:`Shard.checkpoint` fsyncs.
+:class:`~repro.core.shard_backend.InlineShardBackend` holds N shards, a
+:mod:`~repro.core.shard_worker` process holds one, and both execute an
+operation through :meth:`Shard.run`.  Every method a backend runs has one
+row in the op table (:data:`repro.core.shard_wire.OPS`), which is all
+either transport needs to know about it — including its ``writes``
+column, which :meth:`Shard.run` reads to commit the segment after the
+method returns.  That is the one durability point, on either transport:
+a write is durable (per the fsync policy) before its op answers, only
+shards that were written are fsynced, and a commit that leaves the
+segment ``snapshot_interval`` records deep rolls the next generation.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.annotation import SemanticAnnotator
 from repro.core.mediator import CanonicalObservation
+from repro.core.shard_wire import ALWAYS, ON_ENTAIL, OPS
 from repro.persistence.store import ShardPersistence
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.term import Term
@@ -41,14 +46,32 @@ from repro.semantics.sparql.views import StandingView
 
 
 class Shard:
-    """Graph + annotator + reasoner + standing views of one partition."""
+    """Graph + annotator + reasoner + standing views of one partition.
+
+    ``graph`` is the fresh partition (axiom base already replicated in),
+    or ``None`` to recover it from ``persistence``.  The IK catalogue is
+    materialised either way — before a fresh partition's generation-0
+    snapshot, so it lands there and not in the WAL, and over a recovered
+    one, where it journals nothing: the indicators use deterministic IRIs.
+    Snapshots carry the standing views' materialized rows, so a restart
+    can re-register them without re-materializing.
+    """
 
     def __init__(
         self,
-        graph: Graph,
+        graph: Optional[Graph],
         knowledge_base,
         persistence: Optional[ShardPersistence] = None,
     ):
+        recover = graph is None
+        if recover:
+            graph = persistence.recover()
+        knowledge_base.materialize(graph)
+        self.persistence = persistence
+        if persistence is not None:
+            if not recover:
+                persistence.attach(graph)
+            persistence.view_source = self._export_views
         self.graph = graph
         # annotation indexes always arrive pre-assigned from the layer's
         # shared arrival-order counter, so this annotator's own counter is
@@ -57,18 +80,20 @@ class Shard:
         self.reasoner = Reasoner(graph)
         #: registration text -> StandingView
         self.views: Dict[str, StandingView] = {}
-        self.persistence: Optional[ShardPersistence] = None
-        if persistence is not None:
-            self.attach(persistence)
 
-    def attach(self, persistence: ShardPersistence) -> None:
-        """Adopt the durable segment journalling this shard's graph.
+    def run(self, method: str, args: tuple):
+        """Execute one op-table row: the method, then the row's commit rule.
 
-        Snapshots then carry the standing views' materialized rows, so a
-        restart can re-register them without re-materializing.
+        ``args`` is the full positional tuple, as the row's request codec
+        decodes it.
         """
-        self.persistence = persistence
-        persistence.view_source = self._export_views
+        result = getattr(self, method)(*args)
+        writes = OPS[method].writes
+        if self.persistence is not None and (
+            writes == ALWAYS or (writes == ON_ENTAIL and args[1])
+        ):
+            self.persistence.commit()
+        return result
 
     def _export_views(self) -> List[Tuple[str, str, dict]]:
         """Snapshot payload: every view's current rows (refreshed first)."""
@@ -175,6 +200,11 @@ class Shard:
 
     # -- observability --------------------------------------------------- #
 
+    @property
+    def generation(self) -> int:
+        """The durable segment's snapshot generation (0 without one)."""
+        return self.persistence.generation if self.persistence is not None else 0
+
     def stats(self) -> dict:
         """Size, durable-segment depth, planner and view counters."""
         wal = self.persistence.wal if self.persistence is not None else None
@@ -183,9 +213,7 @@ class Shard:
             "triples": len(self.graph),
             "version": self.graph.version,
             "wal_records": wal.records if wal is not None else 0,
-            "generation": (
-                self.persistence.generation if self.persistence is not None else 0
-            ),
+            "generation": self.generation,
             "planner": asdict(planner_for(self.graph).statistics),
             "views": [
                 dict(view.stats(), text=text) for text, view in self.views.items()

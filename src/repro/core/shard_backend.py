@@ -23,7 +23,10 @@ A transport is one primitive — :meth:`ShardBackend._run`, "run these
 ``Shard`` methods on these shards and hand back the results" — and every
 shard operation is written once on :class:`ShardBackend` over it, so
 neither the layer nor the pipeline stages know which one they are talking
-to.
+to.  Durability is not a transport concern either: each shard opens its
+own segment of the data dir and :meth:`Shard.run
+<repro.core.shard.Shard.run>` commits it per write op, wherever the shard
+executes; the backend only checks or records the directory's layout.
 
 The default is ``inline``; the ``REPRO_SHARD_BACKEND`` environment
 variable (or the explicit ``shard_backend`` configuration knob, which
@@ -83,11 +86,12 @@ class ShardBackend:
 
     A transport builds its shards (fresh partitions come from
     :func:`~repro.semantics.rdf.sharding.build_partitions`, each then
-    given the IK catalogue) and supplies :meth:`_run` and what is
+    handed its segment of the data dir; a recovered store's shards are
+    built from their segments alone) and supplies :meth:`_run` and what is
     genuinely its own: ``versions()``, ``register_standing`` /
-    ``standing_views`` / ``refresh_views``, ``attach_persistence`` /
-    ``commit`` / ``close``, ``health()`` and ``_load(shard)``.  Every
-    shard operation below is written once over ``_run``.
+    ``standing_views`` / ``refresh_views``, ``close``, ``health()`` and
+    ``_load(shard)``.  Every shard operation below is written once over
+    ``_run``.
     """
 
     kind = ""
@@ -104,7 +108,16 @@ class ShardBackend:
         self.router = ShardRouter(shards)
         self.persistence = persistence
         self.recovered = persistence is not None and persistence.recoverable
+        if self.recovered:
+            persistence.validate_meta(expected_shards=shards, backend=self.kind)
         self.services = ServiceRegistry(replicate=self.replicate, retract=self.retract)
+
+    def _record_layout(self) -> None:
+        """Make a fresh store recoverable, once the transport has built its
+        shards: every generation-0 snapshot is durable by then, so
+        ``meta.json`` never describes a half-initialised directory."""
+        if self.persistence is not None and not self.recovered:
+            self.persistence.write_meta(self.num_shards, self.kind)
 
     def _run(self, requests: Dict[int, Tuple[str, tuple]]) -> Dict[int, object]:
         """The transport: ``{shard: (Shard method name, args)}`` in,
@@ -145,8 +158,9 @@ class ShardBackend:
             text,
             self.library.graph,
             range(self.num_shards),
-            ask=lambda shard: self._run({shard: ("query_ask", (text,))})[shard],
-            gather=lambda: self._run_all("query_full", text),
+            # entail=False: every closure was topped up (and committed) above
+            ask=lambda shard: self._run({shard: ("query_ask", (text, False))})[shard],
+            gather=lambda: self._run_all("query_full", text, False),
             missing=self._missing_shards,
         )
 
@@ -240,22 +254,29 @@ class InlineShardBackend(ShardBackend):
 
     def __init__(self, library, knowledge_base, shards: int, persistence=None):
         super().__init__(library, knowledge_base, shards, persistence)
+        graphs: List[Optional[Graph]]
         if self.recovered:
-            # the recovered partitions already hold the replicated axioms
-            # (they were in each shard's gen-0 snapshot)
-            graphs = persistence.recover_all(expected_shards=shards, backend="inline")
+            # each shard recovers its own partition, replicated axioms
+            # included (they were in its gen-0 snapshot)
+            graphs = [None] * shards
         elif shards == 1:
             graphs = [library.graph]
         else:
             graphs, self.replicated_triples = build_partitions(shards, library.graph)
-        for graph in graphs:
-            # idempotent on recovery: the indicators use deterministic IRIs,
-            # so re-materialising adds (and therefore journals) nothing new
-            knowledge_base.materialize(graph)
+        self.shards = [
+            Shard(
+                graph,
+                knowledge_base,
+                persistence.segment(index) if persistence is not None else None,
+            )
+            for index, graph in enumerate(graphs)
+        ]
+        self._record_layout()
         self.counter = itertools.count(
-            next_annotation_index(graphs) if self.recovered else 1
+            next_annotation_index([shard.graph for shard in self.shards])
+            if self.recovered
+            else 1
         )
-        self.shards = [Shard(graph, knowledge_base) for graph in graphs]
         self.reasoners = [shard.reasoner for shard in self.shards]
         #: Wall-clock seconds each shard spent on its last operation.
         self.last_batch_latency: Dict[int, float] = {}
@@ -264,7 +285,7 @@ class InlineShardBackend(ShardBackend):
         results = {}
         for shard, (method, args) in requests.items():
             started = time.perf_counter()
-            results[shard] = getattr(self.shards[shard], method)(*args)
+            results[shard] = self.shards[shard].run(method, args)
             self.last_batch_latency[shard] = time.perf_counter() - started
         return results
 
@@ -315,32 +336,6 @@ class InlineShardBackend(ShardBackend):
             "rpc_timeout": None,
             "quarantined_batches": 0,
         }
-
-    # -------------------------------------------------------------- #
-    # durability and lifecycle
-    # -------------------------------------------------------------- #
-
-    def attach_persistence(self) -> None:
-        """Start journalling a fresh store; give each shard its segment.
-
-        Called once the base content (axioms, IK catalogue, service
-        descriptions) is in, so it all lands in each shard's generation-0
-        snapshot instead of bloating the WAL.
-        """
-        if self.persistence is None:
-            return
-        if not self.recovered:
-            self.persistence.attach_all(self.graphs, backend="inline")
-        for shard, segment in zip(self.shards, self.persistence.shards):
-            shard.attach(segment)
-
-    def commit(self) -> None:
-        """The batch's durability point: one commit (fsync per policy) once
-        every shard has its share, then roll any shard whose WAL outgrew
-        the snapshot interval."""
-        if self.persistence is not None:
-            self.persistence.commit()
-            self.persistence.maybe_checkpoint()
 
     def close(self) -> None:
         """Nothing to release: the shards are plain objects."""

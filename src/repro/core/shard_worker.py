@@ -3,9 +3,10 @@
 The :class:`ProcessShardBackend` forks one worker per shard.  Each worker
 owns one :class:`~repro.core.shard.Shard` outright — the ``Graph``, its
 ``Reasoner`` and planner caches, every standing view registered on it, and
-(when the layer is durable) its own
+(when the layer is durable) the
 :class:`~repro.persistence.store.ShardPersistence` WAL/snapshot
-generation — and runs the same ``Shard`` methods the inline backend calls
+generation it opened for itself — and executes ops through the same
+:meth:`Shard.run <repro.core.shard.Shard.run>` the inline backend calls
 directly.  The parent keeps only the router, the shared arrival-order
 annotation counter, and one duplex pipe per worker.
 
@@ -14,9 +15,10 @@ Requests travel as ``opcode + body`` messages in the WAL/snapshot codec
 Nothing here knows an individual operation: the parent's transport
 (:meth:`ProcessShardBackend._run`) encodes a request and decodes its reply
 from the op's row in :data:`~repro.core.shard_wire.OPS`, the worker's
-dispatcher decodes, calls the ``Shard`` method the row names, commits as
-the row says and encodes the result, and the supervisor answers for a
-shard behind an open breaker from the row's ``down`` / ``empty`` columns.
+dispatcher decodes, has ``Shard.run`` call the method the row names and
+commit as the row says, and encodes the result, and the supervisor
+answers for a shard behind an open breaker from the row's ``down`` /
+``empty`` columns.
 Annotation indexes are pre-assigned by the parent from the shared counter
 before fan-out, so minted IRIs — and therefore graph content — stay
 bag-identical to the inline backend regardless of process scheduling.
@@ -89,7 +91,6 @@ from repro.core.shard_wire import (
     ALWAYS,
     DEGRADED,
     EMPTY,
-    ON_ENTAIL,
     OP_CLOSE,
     OP_ERROR,
     OP_FAULT,
@@ -103,7 +104,6 @@ from repro.core.shard_wire import (
     frame,
     unframe,
 )
-from repro.persistence.store import DEFAULT_SNAPSHOT_INTERVAL, ShardPersistence
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.sharding import build_partitions
 from repro.semantics.sparql.views import ViewDelta
@@ -120,36 +120,26 @@ _REGISTER_VIEW = OPS["register_view"]
 class _ShardWorker(Shard):
     """The :class:`Shard` a worker process owns, driven by the op table.
 
-    :meth:`dispatch` is decode → ``Shard`` method → commit → encode, all
-    four read from the op's row; the per-op commit is this transport's
-    durability point (the parent cannot fsync a log it does not own).
+    :meth:`dispatch` is decode → :meth:`Shard.run` (the method, then the
+    row's commit rule) → encode, all read from the op's row.
     """
 
-    def __init__(self, graph, knowledge_base, persistence, snapshot_interval: int):
+    def __init__(self, graph, knowledge_base, persistence):
         super().__init__(graph, knowledge_base, persistence)
-        self.snapshot_interval = snapshot_interval
         #: (text, ViewDelta) buffered for the next ``refresh_views`` drain —
         #: deltas can also surface implicitly (a query or checkpoint
         #: refreshing a view), and the parent must still see them
         self.pending: List[Tuple[str, ViewDelta]] = []
 
-    def _commit(self) -> None:
-        if self.persistence is None:
-            return
-        self.persistence.commit()
-        wal = self.persistence.wal
-        if wal is not None and wal.records >= self.snapshot_interval:
-            self.persistence.checkpoint()
-            _settle_heap()
-
     def dispatch(self, opcode: int, body: bytes) -> bytes:
         op = OPS_BY_OPCODE.get(opcode)
         if op is None:
             raise ValueError(f"unknown opcode 0x{opcode:02x}")
-        args = op.request.decode(body)
-        result = getattr(self, op.method)(*args)
-        if op.writes == ALWAYS or (op.writes == ON_ENTAIL and args[1]):
-            self._commit()
+        generation = self.generation
+        result = self.run(op.method, op.request.decode(body))
+        if self.generation != generation:
+            # the op rolled a snapshot
+            _settle_heap()
         return op.reply.encode(result)
 
     def register_view(self, text: str, name: Optional[str] = None, federated: bool = True):
@@ -182,15 +172,18 @@ def _settle_heap() -> None:
 def _worker_main(
     conn,
     parent_side,
-    shard_dir: Optional[str],
-    fsync: str,
-    snapshot_interval: int,
+    shard: int,
+    store,
     graph: Optional[Graph],
     knowledge_base,
-    recover: bool,
     boot_crash: bool = False,
 ) -> None:
-    """Entry point of one forked shard worker."""
+    """Entry point of one forked shard worker.
+
+    ``store`` is the layer's (forked) ``StorePersistence`` or ``None``;
+    ``graph`` the fresh partition, or ``None`` to recover it from the
+    shard's segment (newest valid snapshot + WAL tail).
+    """
     if parent_side is not None:
         parent_side.close()
     if boot_crash:
@@ -199,20 +192,14 @@ def _worker_main(
         # the supervisor sees a spawn failure, not a serving worker
         os._exit(2)
     injector = FaultInjector()
-    persistence: Optional[ShardPersistence] = None
     try:
-        if shard_dir is not None:
-            persistence = ShardPersistence(
-                shard_dir, fsync=fsync, fault_hook=injector.wal_hook
-            )
-        if recover:
-            graph = persistence.recover()
-            # idempotent: the IK indicators use deterministic IRIs, so
-            # re-materialising over recovered content journals nothing new
-            knowledge_base.materialize(graph)
-        elif persistence is not None:
-            persistence.attach(graph)
-        worker = _ShardWorker(graph, knowledge_base, persistence, snapshot_interval)
+        worker = _ShardWorker(
+            graph,
+            knowledge_base,
+            store.segment(shard, fault_hook=injector.wal_hook)
+            if store is not None
+            else None,
+        )
         gc.freeze()
         conn.send_bytes(
             frame(
@@ -220,12 +207,10 @@ def _worker_main(
                 encode_json(
                     {
                         "pid": os.getpid(),
-                        "next_index": next_annotation_index([graph]),
-                        "triples": len(graph),
-                        "recovered": recover,
-                        "generation": (
-                            persistence.generation if persistence is not None else 0
-                        ),
+                        "next_index": next_annotation_index([worker.graph]),
+                        "triples": len(worker.graph),
+                        "recovered": graph is None,
+                        "generation": worker.generation,
                     }
                 ),
             )
@@ -247,12 +232,12 @@ def _worker_main(
         opcode, body = unframe(message)
         if opcode == OP_KILL:
             # simulated crash: drop buffered WAL records on the floor
-            if persistence is not None:
-                persistence.kill()
+            if worker.persistence is not None:
+                worker.persistence.kill()
             os._exit(1)
         if opcode == OP_CLOSE:
-            if persistence is not None:
-                persistence.close()
+            if worker.persistence is not None:
+                worker.persistence.close()
             try:
                 conn.send_bytes(frame(OP_CLOSE, b""))
                 conn.close()
@@ -416,10 +401,6 @@ class ProcessShardBackend(ShardBackend):
         dead_letter=None,
     ):
         super().__init__(library, knowledge_base, shards, persistence)
-        if self.recovered:
-            # the workers recover their own partitions; the parent only
-            # validates that the store matches the layout
-            persistence.validate_meta(expected_shards=shards, backend="process")
         # the shards live in the workers: no live reasoners to hand out
         self.reasoners: List = []
         self._context = multiprocessing.get_context("fork")
@@ -446,16 +427,16 @@ class ProcessShardBackend(ShardBackend):
 
         graphs: List[Optional[Graph]] = [None] * shards
         if not self.recovered:
-            # build the partitions in the parent (axiom base + IK catalogue
-            # replicated into each) and hand them to the workers via fork —
+            # build the partitions in the parent (axiom base replicated
+            # into each) and hand them to the workers via fork —
             # copy-on-write, nothing is pickled
             graphs, self.replicated_triples = build_partitions(shards, library.graph)
-            for graph in graphs:
-                knowledge_base.materialize(graph)
         self.workers: List[_WorkerHandle] = [
-            self._spawn(index, graphs[index], self.recovered) for index in range(shards)
+            self._spawn(index, graphs[index]) for index in range(shards)
         ]
         del graphs
+        # every worker has said HELLO: its generation-0 snapshot is durable
+        self._record_layout()
         # belt-and-braces reaper: a backend dropped without close() must
         # not leak worker processes (holds no reference back to self)
         self._reap_entries = [[w.process, w.conn] for w in self.workers]
@@ -473,11 +454,9 @@ class ProcessShardBackend(ShardBackend):
     # process management
     # -------------------------------------------------------------- #
 
-    def _spawn(self, shard: int, graph: Optional[Graph], recover: bool) -> _WorkerHandle:
-        persistence = self.persistence
-        shard_dir = (
-            str(persistence._shard_dir(shard)) if persistence is not None else None
-        )
+    def _spawn(self, shard: int, graph: Optional[Graph]) -> _WorkerHandle:
+        """Fork shard ``shard``'s worker around ``graph`` — or, with
+        ``None``, have it recover the partition from its segment."""
         self._incarnations[shard] += 1
         boot_crash = self._faults.boot_crash_fires(shard, self._incarnations[shard])
         parent_conn, child_conn = self._context.Pipe(duplex=True)
@@ -486,14 +465,10 @@ class ProcessShardBackend(ShardBackend):
             args=(
                 child_conn,
                 parent_conn,
-                shard_dir,
-                persistence.fsync if persistence is not None else "batch",
-                persistence.snapshot_interval
-                if persistence is not None
-                else DEFAULT_SNAPSHOT_INTERVAL,
+                shard,
+                self.persistence,
                 graph,
                 self.knowledge_base,
-                recover,
                 boot_crash,
             ),
             daemon=True,
@@ -519,7 +494,7 @@ class ProcessShardBackend(ShardBackend):
         the view re-registration fails (the half-started worker is killed
         first, so a failed attempt leaks nothing).
         """
-        worker = self._spawn(shard, None, recover=True)
+        worker = self._spawn(shard, None)
         self.workers[shard] = worker
         self.restart_counts[shard] += 1
         self._reap_entries[shard][0] = worker.process
@@ -927,15 +902,6 @@ class ProcessShardBackend(ShardBackend):
     # -------------------------------------------------------------- #
     # lifecycle
     # -------------------------------------------------------------- #
-
-    def attach_persistence(self) -> None:
-        """Record a fresh store's layout; the workers attached their own
-        WALs and snapshots when they were spawned."""
-        if self.persistence is not None and not self.recovered:
-            self.persistence.register_remote(self.num_shards, "process")
-
-    def commit(self) -> None:
-        """Nothing to do here: each worker commits its own log per op."""
 
     def _kill_workers(self) -> None:
         """Simulated crash (tests): workers die without flushing buffers."""

@@ -175,15 +175,22 @@ class SemanticWebChannel(DisseminationChannel):
         self._counter = 0
 
     def render(self, alert: DroughtAlert) -> str:
+        """The alert's own triples as Turtle; ``graph`` keeps accumulating
+        every alert delivered for the consumers that query it."""
         self._counter += 1
         alert_iri = AFRICRID[f"alert/{self._counter}"]
-        self.graph.add(Triple(alert_iri, RDF.type, DROUGHT.DroughtAlert))
-        self.graph.add(Triple(alert_iri, DROUGHT.hasAlertLevel, DROUGHT[f"Level{alert.level}"]))
-        self.graph.add(Triple(alert_iri, DROUGHT.hasProbability, Literal(alert.drought_probability)))
-        self.graph.add(Triple(alert_iri, DROUGHT.hasLeadTimeDays, Literal(alert.lead_time_days)))
-        self.graph.add(Triple(alert_iri, RDFS.label, Literal(alert.headline())))
-        self.graph.add(Triple(alert_iri, AFRICRID.forDistrict, Literal(alert.district)))
-        return self.graph.serialize("turtle")
+        triples = [
+            Triple(alert_iri, RDF.type, DROUGHT.DroughtAlert),
+            Triple(alert_iri, DROUGHT.hasAlertLevel, DROUGHT[f"Level{alert.level}"]),
+            Triple(alert_iri, DROUGHT.hasProbability, Literal(alert.drought_probability)),
+            Triple(alert_iri, DROUGHT.hasLeadTimeDays, Literal(alert.lead_time_days)),
+            Triple(alert_iri, RDFS.label, Literal(alert.headline())),
+            Triple(alert_iri, AFRICRID.forDistrict, Literal(alert.district)),
+        ]
+        self.graph.add_all(triples)
+        document = Graph()
+        document.add_all(triples)
+        return document.serialize("turtle")
 
 
 class DisseminationHub:

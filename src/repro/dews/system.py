@@ -209,7 +209,6 @@ class DroughtEarlyWarningSystem:
 
         # --- forecasting and dissemination ------------------------------- #
         self.aggregator = _DailyAggregator()
-        self.middleware.subscribe_property("+", self._on_canonical_event)
         for key in AGGREGATED_PROPERTIES:
             self.middleware.subscribe_property(key, self.aggregator.add)
         self.fusion = FusionForecaster(self.knowledge_base)
@@ -259,10 +258,6 @@ class DroughtEarlyWarningSystem:
     # ------------------------------------------------------------------ #
     # event plumbing
     # ------------------------------------------------------------------ #
-
-    def _on_canonical_event(self, event: Event) -> None:
-        # single subscription point kept for extensions / examples
-        return None
 
     def _feed_daily_aggregates(self, day: int) -> None:
         """Inject aggregate and anomaly events per property per district.

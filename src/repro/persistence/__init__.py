@@ -13,7 +13,7 @@ cleanly at a torn final record.
 Layout::
 
     data_dir/
-        meta.json            # shard count (re-sharding is refused)
+        meta.json            # shard count + backend (re-sharding is refused)
         views.json           # standing-view registrations, replayed on restart
         shard-0000/
             snap-<gen>.bin   # checksummed snapshot (dictionary + triples)

@@ -14,11 +14,15 @@ between (1) and (3) leaves both generations, and recovery simply picks the
 newest valid snapshot.  Recovery replays the matching WAL, truncates any
 torn tail, and re-opens the segment for appending.
 
-:class:`StorePersistence` manages one directory tree for all the
-partitions of a layer (or a single graph — a one-shard store), owns
-``meta.json`` (the shard count is fixed at first attach; re-sharding an
-existing data dir is refused) and
-``views.json`` (standing-view registrations replayed on restart).
+:class:`ShardPersistence` is one shard's segment, opened, committed and
+rolled by the :class:`~repro.core.shard.Shard` that owns it — once a
+commit leaves ``snapshot_interval`` records behind the snapshot, the
+commit itself checkpoints.  :class:`StorePersistence` is the directory
+around the segments of a layer (or a single graph — a one-shard store):
+``meta.json`` (the shard count is fixed when the store is created;
+re-sharding an existing data dir is refused), ``views.json``
+(standing-view registrations replayed on restart) and the factory every
+shard opens its segment through.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.semantics.rdf.graph import Graph
 _SNAP_RE = re.compile(r"^snap-(\d{8})\.bin$")
 _WAL_RE = re.compile(r"^wal-(\d{8})\.log$")
 
-#: Default WAL records per segment before :meth:`StorePersistence.maybe_checkpoint`
+#: Default WAL records per segment before :meth:`ShardPersistence.commit`
 #: rolls a new snapshot.
 DEFAULT_SNAPSHOT_INTERVAL = 50_000
 
@@ -77,11 +81,16 @@ class ShardPersistence:
     """Durability for one shard: a snapshot generation plus its WAL."""
 
     def __init__(
-        self, shard_dir: Union[str, Path], fsync: str = "batch", fault_hook=None
+        self,
+        shard_dir: Union[str, Path],
+        fsync: str = "batch",
+        fault_hook=None,
+        snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
     ):
         self.shard_dir = Path(shard_dir)
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
+        self.snapshot_interval = snapshot_interval
         #: Passed through to every WAL segment (fault injection; see
         #: :class:`repro.core.faults.FaultInjector`).
         self.fault_hook = fault_hook
@@ -115,7 +124,7 @@ class ShardPersistence:
     def attach(self, graph: Graph) -> None:
         """Start journalling a fresh (never-persisted) graph.
 
-        Writes the generation-0 snapshot of the graph's current state —
+        Writes the current generation's snapshot of the graph's state —
         typically the replicated ontology axioms — then opens the WAL, so
         a crash before the first commit still recovers to the base state.
         """
@@ -154,16 +163,8 @@ class ShardPersistence:
         self.replayed_ops = 0
         if graph is None:
             graph = Graph()
-            highest = max(snap_gens + wal_gens, default=-1)
-            self.generation = highest + 1
-            self.graph = graph
-            write_snapshot(graph, self.shard_dir / _snap_name(self.generation))
-            self.wal = WriteAheadLog(
-                self.shard_dir / _wal_name(self.generation),
-                fsync=self.fsync,
-                fault_hook=self.fault_hook,
-            )
-            self.graph_wal = GraphWal(graph, self.wal)
+            self.generation = max(snap_gens + wal_gens, default=-1) + 1
+            self.attach(graph)
             return graph
         self.generation = chosen
         wal_path = self.shard_dir / _wal_name(chosen)
@@ -190,10 +191,19 @@ class ShardPersistence:
 
     # -- steady state --------------------------------------------------- #
 
-    def commit(self) -> None:
-        """Make everything journalled so far durable (per the fsync policy)."""
-        if self.wal is not None:
-            self.wal.commit()
+    def commit(self) -> bool:
+        """Make everything journalled so far durable (per the fsync policy).
+
+        A segment that has reached ``snapshot_interval`` records is then
+        rolled into a new generation; returns whether that happened.
+        """
+        if self.wal is None:
+            return False
+        self.wal.commit()
+        if self.wal.records < self.snapshot_interval:
+            return False
+        self.checkpoint()
+        return True
 
     def checkpoint(self) -> None:
         """Roll a new generation: snapshot, fresh WAL, then prune the old."""
@@ -258,7 +268,11 @@ class ShardPersistence:
 
 
 class StorePersistence:
-    """One data directory holding every shard of a store, plus metadata."""
+    """One data directory holding every shard of a store, plus metadata.
+
+    Nothing here journals: each :class:`~repro.core.shard.Shard` opens its
+    own segment through :meth:`segment` and commits it per write op.
+    """
 
     def __init__(
         self,
@@ -270,9 +284,12 @@ class StorePersistence:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.snapshot_interval = snapshot_interval
-        self.shards: List[ShardPersistence] = []
+        #: shard index -> the segments opened *in this process*; a forked
+        #: worker's segment lives in the worker's copy of this object, so
+        #: the process backend's parent holds none
+        self.segments: Dict[int, ShardPersistence] = {}
         #: Optional callable invoked by :meth:`kill` before the local
-        #: shards are killed — the process backend hooks this to SIGKILL
+        #: segments are killed — the process backend hooks this to SIGKILL
         #: semantics for its workers (tests only).
         self.kill_hook = None
 
@@ -312,42 +329,12 @@ class StorePersistence:
             )
         return meta
 
-    def _shard_dir(self, index: int) -> Path:
-        return self.data_dir / f"shard-{index:04d}"
+    def write_meta(self, num_shards: int, backend: str) -> None:
+        """Record a fresh store's layout, making the directory recoverable.
 
-    # -- lifecycle ------------------------------------------------------ #
-
-    def attach_all(self, graphs: List[Graph], backend: str = "inline") -> None:
-        """Start persisting ``graphs`` (one per shard) into an empty dir.
-
-        ``meta.json`` is written only after every shard's generation-0
+        The caller writes it only after every shard's generation-0
         snapshot is durable, so :attr:`recoverable` never observes a
         half-initialised directory.
-        """
-        if self.recoverable:
-            raise ValueError(
-                f"{self.data_dir} already holds a persisted store; "
-                "recover it instead of attaching fresh graphs"
-            )
-        for index, graph in enumerate(graphs):
-            shard = ShardPersistence(self._shard_dir(index), fsync=self.fsync)
-            shard.attach(graph)
-            self.shards.append(shard)
-        _atomic_write_json(
-            self.meta_path,
-            {"version": 1, "shards": len(graphs), "backend": backend},
-        )
-
-    def register_remote(self, num_shards: int, backend: str) -> None:
-        """Record metadata for shards persisted by worker processes.
-
-        The process backend's workers each own their shard's
-        :class:`ShardPersistence`; the parent only writes ``meta.json``
-        (after every worker has reported its generation-0 snapshot
-        durable), keeping the same never-half-initialised ordering as
-        :meth:`attach_all`.  The parent's own :attr:`shards` list stays
-        empty — commit / checkpoint / close of the worker segments happen
-        over RPC, not here.
         """
         if self.recoverable:
             raise ValueError(
@@ -367,9 +354,8 @@ class StorePersistence:
         ``expected_shards`` guards against configuration drift: ids are
         routed by ``hash(area) % shards``, so reopening a 4-shard directory
         as 8 shards would silently misroute — it is refused instead.  A
-        backend mismatch is refused for the same reason: the worker-owned
-        and parent-owned segment layouts are the same on disk, but the WAL
-        replay boundary (who owns the in-flight batch) differs.
+        backend mismatch is configuration drift of the same kind and is
+        refused with it: reopen a directory with the backend that wrote it.
         """
         meta = self._read_meta()
         num_shards = int(meta["shards"])
@@ -388,57 +374,42 @@ class StorePersistence:
             )
         return meta
 
-    def recover_all(
-        self, expected_shards: Optional[int] = None, backend: str = "inline"
-    ) -> List[Graph]:
-        """Recover every shard of a previously-persisted store."""
-        meta = self.validate_meta(expected_shards, backend)
-        num_shards = int(meta["shards"])
-        graphs: List[Graph] = []
-        for index in range(num_shards):
-            shard = ShardPersistence(self._shard_dir(index), fsync=self.fsync)
-            graphs.append(shard.recover())
-            self.shards.append(shard)
-        return graphs
+    # -- segments ------------------------------------------------------- #
 
-    # -- steady state --------------------------------------------------- #
+    def segment(self, index: int, fault_hook=None) -> ShardPersistence:
+        """Open shard ``index``'s segment under this store's policy.
 
-    def commit(self) -> None:
-        """Commit every shard's WAL (called once per ingest batch)."""
-        for shard in self.shards:
-            shard.commit()
-
-    def maybe_checkpoint(self) -> int:
-        """Checkpoint shards whose WAL grew past the snapshot interval.
-
-        Returns the number of shards checkpointed.
+        Not yet attached or recovered: the :class:`~repro.core.shard.Shard`
+        built on it does that.
         """
-        rolled = 0
-        for shard in self.shards:
-            if shard.wal is not None and shard.wal.records >= self.snapshot_interval:
-                shard.checkpoint()
-                rolled += 1
-        return rolled
+        segment = self.segments[index] = ShardPersistence(
+            self.data_dir / f"shard-{index:04d}",
+            fsync=self.fsync,
+            fault_hook=fault_hook,
+            snapshot_interval=self.snapshot_interval,
+        )
+        return segment
 
     def close(self) -> None:
-        """Graceful shutdown of every shard."""
-        for shard in self.shards:
-            shard.close()
+        """Graceful shutdown of every segment opened here."""
+        for segment in self.segments.values():
+            segment.close()
 
     def kill(self) -> None:
         """Simulate a process kill across every shard (tests only)."""
         if self.kill_hook is not None:
             self.kill_hook()
-        for shard in self.shards:
-            shard.kill()
+        for segment in self.segments.values():
+            segment.kill()
 
     def health(self) -> Dict[str, object]:
         """Durable-store state for the layered health report.
 
-        Per locally-attached shard: the current snapshot generation and
-        the WAL depth behind it (records an unclean stop would replay).
-        A store whose shards live in worker processes (the process
-        backend) reports only the layout — the workers own their WALs.
+        Per segment opened in this process: the current snapshot
+        generation and the WAL depth behind it (records an unclean stop
+        would replay).  A store whose shards live in worker processes (the
+        process backend) reports only the layout — the workers own their
+        segments, and report the same two numbers through ``stats``.
         """
         return {
             "path": str(self.data_dir),
@@ -447,10 +418,10 @@ class StorePersistence:
             "shards": [
                 {
                     "shard": index,
-                    "generation": shard.generation,
-                    "wal_records": shard.wal.records if shard.wal is not None else 0,
+                    "generation": segment.generation,
+                    "wal_records": segment.wal.records if segment.wal is not None else 0,
                 }
-                for index, shard in enumerate(self.shards)
+                for index, segment in sorted(self.segments.items())
             ],
         }
 
@@ -471,8 +442,13 @@ class StorePersistence:
         existing = [v for v in views if (v["name"] or v["text"]) == key]
         if push is None:
             push = bool(existing[0]["push"]) if existing else False
+        record = {"name": name, "text": text, "push": push}
+        if existing == [record]:
+            # unchanged (every view re-registered during recovery): no
+            # rewrite, no fsync
+            return
         views = [v for v in views if (v["name"] or v["text"]) != key]
-        views.append({"name": name, "text": text, "push": push})
+        views.append(record)
         views.sort(key=lambda v: (v["name"] or v["text"]))
         _atomic_write_json(self.views_path, views)
 
@@ -484,4 +460,4 @@ class StorePersistence:
             return json.load(handle)
 
     def __repr__(self) -> str:
-        return f"<StorePersistence {self.data_dir} shards={len(self.shards)}>"
+        return f"<StorePersistence {self.data_dir} segments={len(self.segments)}>"

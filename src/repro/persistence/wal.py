@@ -31,10 +31,11 @@ Durability policy (``fsync``):
 
 * ``"always"`` — every append is written and fsynced before returning.
 * ``"batch"`` (default) — appends accumulate in a buffer; :meth:`commit`
-  writes and fsyncs.  The ingestion layer commits once per batch, so a
-  crash loses at most the current batch.
+  writes and fsyncs.  A shard commits after every write op (an ingest
+  batch's share, a reasoner top-up), so a crash loses at most the op in
+  flight.
 * ``"never"`` — :meth:`commit` writes to the OS but never fsyncs; a crash
-  of the *process* still loses only the current batch, a crash of the
+  of the *process* still loses only the op in flight, a crash of the
   *machine* may lose what the kernel had not flushed.
 
 The file is opened unbuffered and the buffer is this module's own, so

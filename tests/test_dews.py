@@ -1,5 +1,7 @@
 """Tests for the DEWS application: cloud, alerts, dissemination, end-to-end."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,29 @@ class TestDissemination:
         channel.deliver(self.make_alert("Emergency"))
         assert len(channel.graph) >= 10
         assert len(list(channel.graph.subjects(None, DROUGHT.DroughtAlert))) == 2
+
+    def test_semantic_web_render_does_not_grow_with_history(self):
+        """A delivery renders its own alert, not every alert ever sent."""
+        channel = SemanticWebChannel(seed=1)
+        alert = self.make_alert()
+
+        def timed_render():
+            started = time.perf_counter()
+            text = channel.render(alert)
+            return time.perf_counter() - started, text
+
+        early = [timed_render() for _ in range(20)]
+        for _ in range(600):
+            channel.render(alert)
+        late = [timed_render() for _ in range(20)]
+        # the consumers' graph still accumulates every alert ...
+        assert len(list(channel.graph.subjects(None, DROUGHT.DroughtAlert))) == 640
+        # ... but a rendered document holds one: same size but for the
+        # digits of the alert counter, and no slower (best of 20 each side,
+        # with room for scheduler noise; the whole-graph render was ~300x)
+        assert all(text.count("DroughtAlert") == 1 for _, text in early + late)
+        assert max(len(text) for _, text in late) <= min(len(t) for _, t in early) + 4
+        assert min(s for s, _ in late) < 10 * min(s for s, _ in early)
 
 
 class TestEndToEndDews:

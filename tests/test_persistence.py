@@ -441,22 +441,57 @@ class TestCheckpoint:
 # --------------------------------------------------------------------- #
 
 
+def _create_store(path, shards: int, backend: str = "inline") -> StorePersistence:
+    """A fresh store the way a backend creates one: each shard's segment
+    from the factory and attached, ``meta.json`` last."""
+    store = StorePersistence(path)
+    for index in range(shards):
+        store.segment(index).attach(Graph())
+    store.write_meta(shards, backend)
+    return store
+
+
 class TestStorePersistence:
     def test_resharding_refused(self, tmp_path):
-        store = StorePersistence(tmp_path)
-        store.attach_all([Graph(), Graph()])
-        store.close()
+        _create_store(tmp_path, 2).close()
         again = StorePersistence(tmp_path)
         with pytest.raises(ValueError, match="re-sharding"):
-            again.recover_all(expected_shards=4)
+            again.validate_meta(expected_shards=4, backend="inline")
+        with pytest.raises(ValueError, match="backend that wrote it"):
+            again.validate_meta(expected_shards=2, backend="process")
+        assert again.validate_meta(expected_shards=2, backend="inline")["shards"] == 2
 
     def test_attach_over_existing_store_refused(self, tmp_path):
-        store = StorePersistence(tmp_path)
-        store.attach_all([Graph()])
-        store.close()
+        _create_store(tmp_path, 1).close()
         again = StorePersistence(tmp_path)
         with pytest.raises(ValueError, match="already holds"):
-            again.attach_all([Graph()])
+            again.write_meta(1, "inline")
+
+    def test_store_is_recoverable_only_once_meta_is_written(self, tmp_path):
+        store = StorePersistence(tmp_path)
+        segment = store.segment(0)
+        segment.attach(Graph())
+        # a durable generation-0 snapshot alone is not a store yet
+        assert (segment.shard_dir / "snap-00000000.bin").exists()
+        assert not store.recoverable
+        store.write_meta(1, "inline")
+        assert store.recoverable
+        store.close()
+
+    def test_segment_factory_carries_the_store_policy(self, tmp_path):
+        store = StorePersistence(tmp_path, fsync="never", snapshot_interval=7)
+        hook = lambda event, **_: None  # noqa: E731
+        segment = store.segment(3, fault_hook=hook)
+        assert segment.shard_dir == tmp_path / "shard-0003"
+        assert (segment.fsync, segment.snapshot_interval) == ("never", 7)
+        assert segment.fault_hook is hook
+        # health / close / kill cover exactly the segments opened here
+        segment.attach(Graph())
+        assert store.health()["shards"] == [
+            {"shard": 3, "generation": 0, "wal_records": 0}
+        ]
+        store.close()
+        assert segment.wal is None
 
     def test_standing_registrations_preserve_push_flag(self, tmp_path):
         store = StorePersistence(tmp_path)
@@ -467,20 +502,39 @@ class TestStorePersistence:
         [registration] = store.standing_registrations()
         assert registration["push"] is True
 
-    def test_maybe_checkpoint_honours_interval(self, tmp_path):
+    def test_record_standing_skips_an_unchanged_registration(self, tmp_path):
+        store = StorePersistence(tmp_path)
+        store.record_standing("v1", "SELECT ...", push=True)
+        store.record_standing("v2", "ASK ...", push=False)
+        before = store.views_path.stat()
+        # what recovery does for every view: same name, text and push flag
+        store.record_standing("v1", "SELECT ...", push=True)
+        store.record_standing("v2", "ASK ...")
+        after = store.views_path.stat()
+        # the atomic writer replaces the file, so an untouched inode (and
+        # mtime) means no rewrite and no fsync happened
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        # a changed record still lands
+        store.record_standing("v2", "ASK ...", push=True)
+        assert store.views_path.stat().st_ino != before.st_ino
+        assert [v["push"] for v in store.standing_registrations()] == [True, True]
+
+    def test_commit_rolls_at_snapshot_interval(self, tmp_path):
         # the interval counts WAL records (term defs + triple ops), not
         # graph mutations: 5 adds write at most 20 records
         store = StorePersistence(tmp_path, fsync="always", snapshot_interval=100)
         graph = Graph()
-        store.attach_all([graph])
+        segment = store.segment(0)
+        segment.attach(graph)
         for i in range(5):
             graph.add(_triple(i))
-        assert store.maybe_checkpoint() == 0
+        assert segment.commit() is False and segment.generation == 0
         for i in range(5, 40):
             graph.add(_triple(i))
-        assert store.maybe_checkpoint() == 1
+        assert segment.commit() is True and segment.generation == 1
         # the fresh post-checkpoint WAL is below the interval again
-        assert store.maybe_checkpoint() == 0
+        assert segment.wal.records == 0
+        assert segment.commit() is False and segment.generation == 1
         store.close()
 
 

@@ -286,9 +286,9 @@ def test_process_persistence_recovers_content_and_views(tmp_path):
 
 
 def test_worker_checkpoint_settles_heap(tmp_path):
-    """A worker takes its full collection at the checkpoint and parks the
-    survivors, so no later collection walks the partition (run in process:
-    the class is the worker minus the pipe)."""
+    """A worker takes its full collection when an op's commit rolls a
+    snapshot and parks the survivors, so no later collection walks the
+    partition (run in process: the class is the worker minus the pipe)."""
     import gc
 
     from repro.core.shard_worker import _ShardWorker
@@ -297,18 +297,20 @@ def test_worker_checkpoint_settles_heap(tmp_path):
     from repro.semantics.rdf.graph import Graph
     from repro.semantics.rdf.triple import Triple
 
-    graph = Graph()
     persistence = ShardPersistence(tmp_path / "shard-0", fsync="never")
-    persistence.attach(graph)
-    worker = _ShardWorker(graph, IndigenousKnowledgeBase(), persistence, 10**6)
+    worker = _ShardWorker(Graph(), IndigenousKnowledgeBase(), persistence)
+    replicate = OPS["replicate"]
+
+    def replicate_over_the_wire(subject, obj):
+        triples = [Triple(AFRICRID[subject], AFRICRID["p"], AFRICRID[obj])]
+        worker.dispatch(replicate.opcode, replicate.request.encode(triples))
+
     assert gc.get_freeze_count() == 0
     try:
-        worker.replicate([Triple(AFRICRID["a"], AFRICRID["p"], AFRICRID["b"])])
-        worker._commit()
+        replicate_over_the_wire("a", "b")
         assert persistence.generation == 0 and gc.get_freeze_count() == 0
-        worker.snapshot_interval = 1
-        worker.replicate([Triple(AFRICRID["b"], AFRICRID["p"], AFRICRID["c"])])
-        worker._commit()
+        persistence.snapshot_interval = 1
+        replicate_over_the_wire("b", "c")
         assert persistence.generation == 1 and gc.get_freeze_count() > 0
         # everything that survived is out of the collector's reach
         assert not gc.get_objects(generation=2)
@@ -494,14 +496,14 @@ def test_op_table_is_complete_and_round_trips():
     # one row per op, one op per opcode
     assert len(OP_TABLE) == len(OPS) == len(OPS_BY_OPCODE)
     # the rows are exactly the Shard methods a backend runs: every public
-    # method but ``attach`` (the durable segment is handed over in-process,
-    # at construction — it cannot cross a pipe)
+    # method but ``run`` itself, which executes a row and applies its
+    # ``writes`` rule on both transports
     public = {
         name
         for name, member in vars(Shard).items()
         if callable(member) and not name.startswith("_")
     }
-    assert set(OPS) == public - {"attach"}
+    assert set(OPS) == public - {"run"}
 
     # representative values: a mediated make_stream batch and the terms of
     # the graph it was ingested into
