@@ -95,15 +95,3 @@ class QueryError(ReproError):
     @classmethod
     def wrap(cls, exc: Exception) -> "QueryError":
         return cls(str(exc) or exc.__class__.__name__)
-
-
-class ValidationRejectedError(ReproError):
-    """An ingest payload was rejected before reaching the pipeline.
-
-    Records the pipeline itself drops (non-finite values, unresolvable
-    vendor terms) do *not* raise — they are journaled to the dead-letter
-    file and counted in the :class:`~repro.core.api.IngestReceipt`.  This
-    error is for payloads too malformed to build records from at all.
-    """
-
-    code = "validation_rejected"

@@ -23,10 +23,10 @@ uses:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.semantics.owl.ontology import Ontology
-from repro.semantics.rdf.graph import Graph
+from repro.semantics.rdf.graph import ChangeTracker, Graph
 from repro.semantics.rdf.namespace import OWL, RDF, RDFS
 from repro.semantics.rdf.term import IRI, Term, Variable
 from repro.semantics.rdf.triple import Triple
@@ -91,8 +91,9 @@ def _rdfs_owl_rules() -> List[Rule]:
             ],
             head=[Triple(_X, RDF.type, _C1)],
         ),
-        # rdfs3: range typing (objects that are IRIs / bnodes only, guarded
-        # by the fact that literals cannot be subjects of rdf:type)
+        # rdfs3: range typing (objects that are IRIs / bnodes only: a head
+        # that would place a literal in subject position derives nothing,
+        # as for the inverse and symmetric rules below)
         Rule(
             "rdfs3-range",
             body=[
@@ -100,7 +101,6 @@ def _rdfs_owl_rules() -> List[Rule]:
                 Triple(_P, RDFS.range, _C1),
             ],
             head=[Triple(_Y, RDF.type, _C1)],
-            guard=lambda b: not _is_literal(b.get(_Y)),
         ),
         # owl:equivalentClass -> mutual subclass
         Rule(
@@ -145,20 +145,17 @@ def _rdfs_owl_rules() -> List[Rule]:
             "owl-inverse-of",
             body=[Triple(_C1, OWL.inverseOf, _C2), Triple(_X, _C1, _Y)],
             head=[Triple(_Y, _C2, _X)],
-            guard=lambda b: not _is_literal(b.get(_Y)),
         ),
         Rule(
             "owl-inverse-of-reverse",
             body=[Triple(_C1, OWL.inverseOf, _C2), Triple(_X, _C2, _Y)],
             head=[Triple(_Y, _C1, _X)],
-            guard=lambda b: not _is_literal(b.get(_Y)),
         ),
         # owl:SymmetricProperty
         Rule(
             "owl-symmetric-property",
             body=[Triple(_P, RDF.type, OWL.SymmetricProperty), Triple(_X, _P, _Y)],
             head=[Triple(_Y, _P, _X)],
-            guard=lambda b: not _is_literal(b.get(_Y)),
         ),
         # owl:TransitiveProperty
         Rule(
@@ -173,12 +170,6 @@ def _rdfs_owl_rules() -> List[Rule]:
     ]
 
 
-def _is_literal(term: Optional[Term]) -> bool:
-    from repro.semantics.rdf.term import Literal
-
-    return isinstance(term, Literal)
-
-
 class Reasoner:
     """Forward-chaining reasoner over an RDF graph or :class:`Ontology`.
 
@@ -188,13 +179,15 @@ class Reasoner:
         trace = reasoner.materialize()
         assert reasoner.is_instance_of(obs, SSN.Observation)
 
-    The materialisation is **delta-driven**: the reasoner registers a
+    The materialisation is **delta-driven**: once its first (full) run
+    finishes, the reasoner registers a
     :class:`~repro.semantics.rdf.graph.ChangeTracker` on its graph, so any
-    mutation after a :meth:`materialize` marks the closure stale, and the
-    next entailment query (or :meth:`ensure_materialized` call) tops the
-    closure up *incrementally* — only rules whose body can touch the
-    added triples are refired, seeded from the delta.  Cost is therefore
-    proportional to the size of the added batch, not the whole graph.
+    later mutation marks the closure stale, and the next entailment query
+    (or :meth:`ensure_materialized` call) tops the closure up
+    *incrementally*, in id space — only rules whose body can touch the
+    added triples are refired, seeded from the encoded delta.  Cost is
+    therefore proportional to the size of the added batch, not the whole
+    graph.
     ``materialize(full=True)`` forces a from-scratch naive fixpoint (the
     correctness oracle the equivalence tests compare against); removals
     and newly registered rules also fall back to a full run.  Inferred
@@ -208,15 +201,16 @@ class Reasoner:
         use_ids: bool = True,
     ):
         self.graph = graph
-        # use_ids selects the dictionary-encoded join loop for rule firing
-        # (the default); the decoded-object loop is kept as the oracle the
-        # randomized encoded-vs-decoded equivalence suite compares against
+        # use_ids selects the dictionary-encoded join loop of the naive
+        # full run (the default); the decoded-object loop is kept as the
+        # oracle the randomized encoded-vs-decoded suite compares against
         self._engine = RuleEngine(_rdfs_owl_rules(), use_ids=use_ids)
         if extra_rules:
             self._engine.extend(extra_rules)
-        self._tracker = graph.track_changes()
+        # created when the first (always full) run finishes: until then a
+        # tracker would only buffer a delta that run discards
+        self._tracker: Optional[ChangeTracker] = None
         self._materialized = False
-        self._needs_full = True
         self.last_trace: Optional[InferenceTrace] = None
 
     @classmethod
@@ -232,7 +226,6 @@ class Reasoner:
         """
         self._engine.extend(rules)
         self._materialized = False
-        self._needs_full = True
 
     def materialize(self, full: bool = False) -> InferenceTrace:
         """Run forward chaining to fixpoint, adding inferred triples.
@@ -242,24 +235,28 @@ class Reasoner:
         retracted; pass ``full=True`` to force the from-scratch naive
         fixpoint.
         """
-        delta = self._tracker.drain()
+        tracker = self._tracker
+        delta = None if tracker is None else tracker.drain()
         try:
-            if full or self._needs_full or not self._materialized or delta.needs_full:
+            if delta is None or full or not self._materialized or delta.needs_full:
                 trace = self._engine.run(self.graph)
             else:
-                trace = self._engine.run_incremental(self.graph, delta.added)
+                trace = self._engine.run_incremental(self.graph, delta.added_ids)
         except BaseException:
             # a failed run (e.g. a user rule's guard raising an unexpected
             # exception) must not lose the delta, or the closure would stay
             # silently stale forever; requeue it so the next call retries
-            self._tracker.requeue(delta)
+            if delta is not None:
+                tracker.requeue(delta)
             raise
-        # the run's own insertions land in the tracker too; discard them
-        # so they are not replayed as a delta on the next call
-        self._tracker.drain()
+        if tracker is None:
+            self._tracker = self.graph.track_changes()
+        else:
+            # the run's own insertions land in the tracker too; discard
+            # them so they are not replayed as a delta on the next call
+            tracker.drain()
         self.last_trace = trace
         self._materialized = True
-        self._needs_full = False
         return trace
 
     def ensure_materialized(self) -> None:

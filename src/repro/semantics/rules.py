@@ -5,13 +5,20 @@ matches the graph under some variable binding, the head patterns are
 instantiated and asserted.  The engine offers two evaluation modes:
 
 * :meth:`RuleEngine.run` — *naive* forward chaining to a fixed point:
-  every rule is re-derived against the whole graph each iteration.  This
+  every rule is re-derived against the whole graph each iteration, and
+  its solutions are decoded into :class:`Triple` heads (over the compiled
+  id-space join, or over decoded objects with ``use_ids=False``).  This
   is the from-scratch oracle; its cost grows with total graph size.
 * :meth:`RuleEngine.run_incremental` — *semi-naive* forward chaining from
-  a delta: only rules whose body can touch the delta are refired, and
-  each refiring seeds one body atom from a delta triple before joining
-  the remaining atoms against the full graph.  Per-round cost is
-  proportional to the delta, not the graph.
+  an encoded delta, in id space end to end: only rules whose body can
+  touch the frontier are refired, each refiring seeds one body atom from
+  a frontier id triple and joins the remaining atoms against the full
+  graph as id rows
+  (:meth:`~repro.semantics.sparql.kernel.PreparedJoin.rows`), and the
+  heads are asserted as id triples.  No :class:`Triple` is built; only
+  a guarded rule decodes its solution, into the :class:`Bindings` the
+  guard reads.  Per-round cost is proportional to the delta, not the
+  graph.
 
 Two clients use this module:
 
@@ -25,13 +32,16 @@ Two clients use this module:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.semantics.rdf.dictionary import TermDictionary, TripleIds
 from repro.semantics.rdf.graph import Graph
-from repro.semantics.rdf.term import Term, Variable
+from repro.semantics.rdf.term import BlankNode, IRI, Term, Variable
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.sparql.algebra import BGP
-from repro.semantics.sparql.bindings import Bindings
+from repro.semantics.sparql.bindings import Bindings, bindings_from_mapping
+from repro.semantics.sparql.kernel import PreparedJoin
 
 #: Optional guard evaluated on the bindings before firing a rule.
 RuleGuard = Callable[[Bindings], bool]
@@ -73,6 +83,13 @@ class Rule:
         # on them and the incremental engine seeds the same ones thousands
         # of times per batch
         self._joins: Dict[tuple, BGP] = {}
+        # the distinct head constants, interned lazily per dictionary
+        self._head_terms: Tuple[Term, ...] = tuple(dict.fromkeys(
+            term for pattern in self.head for term in pattern
+            if not isinstance(term, Variable)
+        ))
+        self._head_ids: Tuple[object, Tuple[int, ...]] = (None, ())
+        self._atoms: Optional[List[_SeedAtom]] = None
 
     def _join(self, skip: Optional[int], use_ids: bool) -> BGP:
         """The body's join, without atom ``skip`` when seeding from it."""
@@ -108,33 +125,97 @@ class Rule:
         self._instantiate(self._join(None, use_ids).solutions(graph), derived)
         return derived
 
-    def derive_delta(self, graph: Graph, delta: Graph, use_ids: bool = True) -> Set[Triple]:
-        """Head triples of matches that use at least one ``delta`` triple.
+    def fire(
+        self,
+        graph: Graph,
+        frontier: Set[TripleIds],
+        by_predicate: Dict[int, List[TripleIds]],
+    ) -> Set[TripleIds]:
+        """Head id triples of matches that use at least one frontier triple.
 
-        Semi-naive evaluation: every new solution must bind some body atom
-        to a triple of the delta, so each atom in turn is seeded from the
-        delta triples matching it and the remaining atoms are joined
-        against the full ``graph`` (which already contains the delta).
-        Solutions using several delta triples are found more than once;
-        the returned set deduplicates them.
+        Semi-naive evaluation in id space: each body atom in turn is
+        seeded from the frontier triples it matches (compared id for id),
+        and the remaining atoms are joined against the full ``graph``
+        (which already contains the frontier) as rows of ids.  Heads are
+        built from the row; only a guarded rule decodes, into the
+        :class:`Bindings` its guard reads.  ``by_predicate`` is the
+        frontier grouped by predicate id.  Solutions using several
+        frontier triples are found more than once; the set deduplicates
+        them.
         """
-        derived: Set[Triple] = set()
-        for index, seed_pattern in enumerate(self.body):
-            rest = self._join(index, use_ids)
-            allowed = self._allowed_predicates(graph, index)
-            for triple in delta.triples(tuple(seed_pattern)):
-                if allowed is not None and triple.predicate not in allowed:
+        lookup = graph.dictionary.lookup
+        terms = graph.dictionary.terms
+        guard = self.guard
+        derived: Set[TripleIds] = set()
+        head_ids: Optional[Tuple[int, ...]] = None
+        for atom in self._seed_atoms():
+            checks = atom.resolve(lookup)
+            if checks is None:
+                # a constant no stored triple mentions matches nothing
+                continue
+            if atom.predicate_bucketed:
+                candidates = by_predicate.get(checks.pop(0)[1], ())
+            else:
+                allowed = self._allowed_predicates(graph, atom.index)
+                if allowed is None:
+                    candidates = frontier
+                else:
+                    candidates = [
+                        triple
+                        for predicate in allowed.intersection(by_predicate)
+                        for triple in by_predicate[predicate]
+                    ]
+            join, feed, seed_of, repeats = atom.join, atom.feed, atom.seed_of, atom.repeats
+            for triple in candidates:
+                if checks and any(triple[pos] != want for pos, want in checks):
                     continue
-                match = seed_pattern.matches(triple)
-                if match is None:
+                if repeats and any(triple[a] != triple[b] for a, b in repeats):
                     continue
-                self._instantiate(
-                    rest.solutions_from(graph, Bindings(match)), derived
+                if head_ids is None:
+                    head_ids = self._head_constant_ids(graph.dictionary)
+                seed = seed_of(triple)
+                prefix = seed + head_ids
+                rows = (
+                    ((),) if join is None
+                    else join.rows(graph, seed if feed is None else feed(seed))
                 )
+                for row in rows:
+                    values = prefix + row
+                    if guard is not None:
+                        solution = bindings_from_mapping(
+                            {var: terms[values[slot]] for var, slot in atom.guard_slots}
+                        )
+                        try:
+                            if not guard(solution):
+                                continue
+                        except (TypeError, ValueError, KeyError):
+                            continue
+                    for s, p, o, kinds in atom.heads:
+                        # a head that would place a bound literal in
+                        # subject or predicate position derives nothing
+                        if kinds and not all(
+                            isinstance(terms[values[slot]], kind) for slot, kind in kinds
+                        ):
+                            continue
+                        derived.add((values[s], values[p], values[o]))
         return derived
 
-    def _allowed_predicates(self, graph: Graph, seed_index: int) -> Optional[Set[Term]]:
-        """Semi-join bound for a variable-predicate seed atom.
+    def _head_constant_ids(self, dictionary: TermDictionary) -> Tuple[int, ...]:
+        """The head constants' ids, interned once per rule and dictionary."""
+        cached_dictionary, ids = self._head_ids
+        if cached_dictionary is not dictionary:
+            ids = tuple(dictionary.encode(term) for term in self._head_terms)
+            self._head_ids = (dictionary, ids)
+        return ids
+
+    def _seed_atoms(self) -> List["_SeedAtom"]:
+        """Every body atom compiled for seeding (built once; no graph state)."""
+        if self._atoms is None:
+            self._atoms = [_SeedAtom(self, index) for index in range(len(self.body))]
+        return self._atoms
+
+    def _allowed_predicates(self, graph: Graph, seed_index: int) -> Optional[Set[int]]:
+        """Semi-join bound for a variable-predicate seed atom, as ids.
 
         When body atom ``seed_index`` has a variable in predicate position
         that also occurs (in subject / object position) in another body
@@ -143,21 +224,26 @@ class Rule:
         schema atom can bind may ever complete a match.  Those sets (the
         declared domains, sub-properties, inverses, …) are small, so
         computing them per call is far cheaper than joining from every
-        delta triple.  ``None`` means unconstrained.
+        frontier triple.  ``None`` means unconstrained.
         """
         predicate = self.body[seed_index].predicate
         if not isinstance(predicate, Variable):
             return None
-        allowed: Optional[Set[Term]] = None
+        allowed: Optional[Set[int]] = None
         for index, other in enumerate(self.body):
             if index == seed_index or isinstance(other.predicate, Variable):
                 continue
             if other.subject == predicate:
-                values = {t.subject for t in graph.triples(tuple(other))}
+                column = 0
             elif other.object == predicate:
-                values = {t.object for t in graph.triples(tuple(other))}
+                column = 2
             else:
                 continue
+            pattern = graph.encode_pattern(other)
+            values = (
+                set() if pattern is None
+                else {triple[column] for triple in graph.triples_ids(pattern)}
+            )
             allowed = values if allowed is None else allowed & values
         return allowed
 
@@ -180,6 +266,93 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({self.name!r}, body={len(self.body)}, head={len(self.head)})"
+
+
+class _SeedAtom:
+    """One body atom of a rule, compiled for seeding from id triples.
+
+    Everything here is structure: the atom's constants (the predicate
+    first when it is ground, so the frontier's predicate grouping does
+    that comparison), the positions whose ids form the seed row, the
+    prepared join of the other atoms, and where each head position and
+    guard variable reads its id in ``seed + head constants + join row``.
+    Ids are resolved per firing, because a top-up interns terms.
+    """
+
+    __slots__ = (
+        "index", "constants", "predicate_bucketed", "repeats", "seed_of",
+        "join", "feed", "heads", "guard_slots",
+    )
+
+    def __init__(self, rule: Rule, index: int):
+        pattern = rule.body[index]
+        self.index = index
+        seed_vars: List[Variable] = []
+        first: List[int] = []
+        constants: List[Tuple[int, Term]] = []
+        repeats: List[Tuple[int, int]] = []
+        for position, term in enumerate(pattern):
+            if not isinstance(term, Variable):
+                constants.append((position, term))
+            elif term in seed_vars:
+                repeats.append((position, first[seed_vars.index(term)]))
+            else:
+                seed_vars.append(term)
+                first.append(position)
+        self.predicate_bucketed = not isinstance(pattern.predicate, Variable)
+        constants.sort(key=lambda item: item[0] != 1)
+        self.constants = tuple(constants)
+        self.repeats = tuple(repeats)
+        self.seed_of = _picker(first)
+        slots = {var: slot for slot, var in enumerate(seed_vars)}
+        for offset, term in enumerate(rule._head_terms):
+            slots[term] = len(seed_vars) + offset
+        self.join: Optional[PreparedJoin] = None
+        self.feed: Optional[Callable[[tuple], tuple]] = None
+        if len(rule.body) > 1:
+            join = self.join = rule._join(index, True).prepared(tuple(seed_vars))
+            if len(join.seed_vars) != len(seed_vars):
+                self.feed = _picker([seed_vars.index(var) for var in join.seed_vars])
+            base = len(slots)
+            for offset, var in enumerate(join.out_vars):
+                slots.setdefault(var, base + offset)
+        # a variable stored in subject or predicate position of some body
+        # atom is an IRI or blank node; one stored as a predicate is an IRI
+        not_literal = {t for atom in rule.body for t in atom[:2] if isinstance(t, Variable)}
+        iri = {atom.predicate for atom in rule.body if isinstance(atom.predicate, Variable)}
+        heads = []
+        for head in rule.head:
+            kinds = []
+            if isinstance(head.subject, Variable) and head.subject not in not_literal:
+                kinds.append((slots[head.subject], (IRI, BlankNode)))
+            if isinstance(head.predicate, Variable) and head.predicate not in iri:
+                kinds.append((slots[head.predicate], IRI))
+            heads.append((slots[head[0]], slots[head[1]], slots[head[2]], tuple(kinds)))
+        self.heads = tuple(heads)
+        body_vars = dict.fromkeys(var for atom in rule.body for var in atom.variables())
+        self.guard_slots = (
+            tuple((var, slots[var]) for var in body_vars) if rule.guard is not None else ()
+        )
+
+    def resolve(self, lookup: Callable[[Term], Optional[int]]) -> Optional[List[Tuple[int, int]]]:
+        """``(position, id)`` per constant, or ``None`` when one is unknown."""
+        checks = []
+        for position, term in self.constants:
+            term_id = lookup(term)
+            if term_id is None:
+                return None
+            checks.append((position, term_id))
+        return checks
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function returning the items at ``positions`` as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        only = positions[0]
+        return lambda row: (row[only],)
+    return lambda row: ()
 
 
 @dataclass
@@ -208,9 +381,10 @@ class RuleEngine:
     ):
         self.rules: List[Rule] = list(rules or [])
         self.max_iterations = max_iterations
-        #: Join over dictionary-encoded ids (default) or decoded term
-        #: objects (the equivalence oracle used by the randomized
-        #: encoded-vs-decoded suite).
+        #: The naive :meth:`run` joins over dictionary-encoded ids
+        #: (default) or decoded term objects (the equivalence oracle used
+        #: by the randomized encoded-vs-decoded suite);
+        #: :meth:`run_incremental` is always in id space.
         self.use_ids = use_ids
         self._predicate_index: Optional[Dict[Term, List[Rule]]] = None
         self._wildcard_rules: List[Rule] = []
@@ -269,41 +443,48 @@ class RuleEngine:
                 break
         return trace
 
-    def run_incremental(self, graph: Graph, delta: Iterable[Triple]) -> InferenceTrace:
-        """Semi-naive fixpoint from a delta of recently added triples.
+    def run_incremental(self, graph: Graph, delta: Iterable[TripleIds]) -> InferenceTrace:
+        """Semi-naive fixpoint from a delta of recently added id triples.
 
-        ``graph`` must already contain the delta triples (they are the
-        mutations since the caller's last run); only rules whose body
-        predicates intersect the current frontier are refired, and each
-        firing joins from a frontier triple instead of re-enumerating the
-        whole graph.  Produces the same fixpoint as :meth:`run` provided
-        ``graph`` was closed under the rules before the delta was added.
+        ``graph`` must already contain the delta (the encoded mutations
+        since the caller's last run, e.g. ``GraphDelta.added_ids``).  Only
+        rules whose body predicates occur in the current frontier are
+        refired, each firing joins from a frontier triple instead of
+        re-enumerating the whole graph, and the whole fixpoint stays in
+        id space: frontier, seeds, join rows and heads are id tuples, and
+        each firing's new triples enter through :meth:`Graph.add_encoded`
+        in sorted order, so the insertion (and write-ahead log) order is a
+        function of the ids alone.  Produces the same fixpoint as
+        :meth:`run` provided ``graph`` was closed under the rules before
+        the delta was added.
         """
         trace = InferenceTrace()
-        frontier: Set[Triple] = {t for t in delta if t in graph}
+        contains = graph.contains_ids
+        frontier: Set[TripleIds] = {t for t in delta if contains(t)}
         if not frontier:
             return trace
         index = self._body_index()
+        terms = graph.dictionary.terms
+        add = graph.add_encoded
         for iteration in range(self.max_iterations):
-            # the delta graph shares the main graph's dictionary: frontier
-            # triples are already interned there, so seeding re-uses their
-            # ids instead of growing a private term table every round
-            delta_graph = Graph(dictionary=graph.dictionary)
+            by_predicate: Dict[int, List[TripleIds]] = {}
             for triple in frontier:
-                delta_graph.add(triple)
+                by_predicate.setdefault(triple[1], []).append(triple)
+            # rules are found through the frontier's decoded predicates: an
+            # id resolved once would miss a body predicate that an earlier
+            # round's head interned
             candidates = {id(rule) for rule in self._wildcard_rules}
-            for predicate in {t.predicate for t in frontier}:
-                candidates.update(id(rule) for rule in index.get(predicate, ()))
-            next_frontier: Set[Triple] = set()
+            for predicate in by_predicate:
+                candidates.update(id(rule) for rule in index.get(terms[predicate], ()))
+            next_frontier: Set[TripleIds] = set()
             for rule in self.rules:
                 if id(rule) not in candidates:
                     continue
-                new_triples = [
-                    t for t in rule.derive_delta(graph, delta_graph, use_ids=self.use_ids)
-                    if t not in graph
-                ]
-                for triple in new_triples:
-                    graph.add(triple)
+                new_triples = sorted(
+                    t for t in rule.fire(graph, frontier, by_predicate) if not contains(t)
+                )
+                for s, p, o in new_triples:
+                    add(s, p, o)
                 trace.record(rule.name, len(new_triples))
                 next_frontier.update(new_triples)
             trace.iterations = iteration + 1

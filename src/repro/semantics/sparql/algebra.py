@@ -121,7 +121,10 @@ class IdJoin(Operator):
         """
         if not self.patterns:
             return iter((bindings,))
-        bound = tuple(bindings)
+        return self.prepared(tuple(bindings)).solutions(graph, bindings)
+
+    def prepared(self, bound: Tuple[Variable, ...]) -> PreparedJoin:
+        """The prepared join under initially bound variables ``bound``."""
         prepared = self._prepared.get(bound)
         if prepared is None:
             ordered, step_filters = self._join_order(bound)
@@ -135,7 +138,7 @@ class IdJoin(Operator):
                 bound,
                 self.project,
             )
-        return prepared.solutions(graph, bindings)
+        return prepared
 
 
 class BGP(IdJoin):

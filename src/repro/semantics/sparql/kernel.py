@@ -31,8 +31,8 @@ every graph, every re-plan and every seed that shares the structure.
 variables' slots; it resolves the constants against a graph's dictionary
 once (ids are append-only) and fetches the compiled function from that
 graph's planner (:meth:`QueryPlanner.kernel`, which counts compiles).
-Rows stay tuples of ids until :meth:`PreparedJoin.solutions` decodes the
-ones that leave.
+Rows stay tuples of ids (:meth:`PreparedJoin.rows`) until
+:meth:`PreparedJoin.solutions` decodes the ones that leave.
 """
 
 from __future__ import annotations
@@ -314,17 +314,29 @@ class PreparedJoin:
         self._dictionary = graph.dictionary
         return True
 
-    def solutions(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
-        """The solutions extending ``bindings``, lazily.
+    def rows(self, graph: Graph, seed: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+        """The id rows over :attr:`out_vars` extending ``seed``, lazily.
 
-        Rows are id tuples over :attr:`out_vars` (distinct ones when
-        projecting) until this loop decodes them — the only place in a
-        join where ids become terms.
+        ``seed`` holds the ids of :attr:`seed_vars`, in that order; the
+        pass-through variables are the caller's to carry.  The id-space
+        entry: the rule engine's semi-naive firing consumes these rows
+        without decoding a single term.
         """
         dictionary = graph.dictionary
         if dictionary is not self._dictionary and not self._bind(graph):
-            return
-        lookup = dictionary.lookup
+            return iter(())
+        rows = self._run(
+            *graph.indexes(), self._consts, seed, self.tests, dictionary.terms
+        )
+        return _unique(rows) if self.distinct else rows
+
+    def solutions(self, graph: Graph, bindings: Bindings) -> Iterator[Bindings]:
+        """The solutions extending ``bindings``, lazily.
+
+        :meth:`rows` decoded: the only place in a join where ids become
+        terms.
+        """
+        lookup = graph.dictionary.lookup
         seed = []
         for var in self.seed_vars:
             # a seed term the dictionary has never seen matches nothing
@@ -332,11 +344,8 @@ class PreparedJoin:
             if term_id is None:
                 return
             seed.append(term_id)
-        terms = dictionary.terms
-        rows = self._run(*graph.indexes(), self._consts, seed, self.tests, terms)
-        if self.distinct:
-            rows = _unique(rows)
-        decode = terms.__getitem__
+        rows = self.rows(graph, seed)
+        decode = graph.dictionary.terms.__getitem__
         out_vars = self.out_vars
         passthrough = [(var, bindings[var]) for var in self.passthrough_vars]
         for row in rows:

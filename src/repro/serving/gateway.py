@@ -73,7 +73,6 @@ STATUS_BY_CODE: Dict[str, int] = {
     "query_error": 400,
     "not_found": 404,
     "payload_too_large": 413,
-    "validation_rejected": 422,
     "rate_limited": 429,
     "internal": 500,
     "store_metadata": 500,

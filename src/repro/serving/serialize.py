@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from repro.cep.event import DerivedEvent, Event
 from repro.errors import BadRequestError
@@ -214,7 +214,3 @@ def json_safe(obj: object, _depth: int = 0) -> object:
         return [json_safe(item, _depth + 1) for item in obj]
     return repr(obj)
 
-
-def json_safe_iterable(items: Iterable[object]) -> List[object]:
-    """``json_safe`` over an iterable, as a list."""
-    return [json_safe(item) for item in items]

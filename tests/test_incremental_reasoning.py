@@ -17,10 +17,10 @@ import pytest
 
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.namespace import Namespace, OWL, RDF, RDFS
-from repro.semantics.rdf.term import Literal, Variable
+from repro.semantics.rdf.term import BlankNode, Literal, Variable
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.reasoner import Reasoner
-from repro.semantics.rules import Rule
+from repro.semantics.rules import Rule, RuleEngine
 
 EX = Namespace("http://example.org/inc/")
 
@@ -164,4 +164,124 @@ def test_single_batch_closure_matches_unified_ontology_growth():
     oracle_annotator = SemanticAnnotator(oracle)
     oracle_annotator.annotate_batch(observations)
     Reasoner(oracle).materialize(full=True)
+    assert set(graph) == set(oracle)
+
+
+def test_topup_fires_rules_whose_body_predicate_the_same_topup_interned():
+    """A head constant interned mid-top-up is a later round's body predicate.
+
+    The graph has never held ``rdfs:subClassOf`` when the equivalence
+    axiom arrives; the top-up's first round derives the mutual subclass
+    triples, and rdfs9 / rdfs11 must fire on them in the next round.
+    """
+    graph = Graph()
+    reasoner = Reasoner(graph)
+    graph.add(Triple(EX.ind0, RDF.type, EX.Class0))
+    reasoner.materialize()
+    assert graph.dictionary.lookup(RDFS.subClassOf) is None
+
+    graph.add(Triple(EX.Class0, OWL.equivalentClass, EX.Class1))
+    trace = reasoner.materialize()
+    assert trace.iterations > 1
+    assert trace.by_rule["rdfs9-type-propagation"] == 1
+    assert trace.by_rule["rdfs11-subclass-transitivity"] == 2
+    assert Triple(EX.ind0, RDF.type, EX.Class1) in graph
+
+    oracle = Graph()
+    oracle.add(Triple(EX.ind0, RDF.type, EX.Class0))
+    oracle.add(Triple(EX.Class0, OWL.equivalentClass, EX.Class1))
+    Reasoner(oracle).materialize(full=True)
+    assert set(graph) == set(oracle)
+
+
+def test_shard_topup_builds_no_triple_objects(monkeypatch):
+    """A one-shard top-up over a 40-record poll stays in id space."""
+    from test_process_backend import build
+    from test_sharding import ENTAIL_QUERIES, make_stream
+
+    middleware = build(1, "inline")
+    try:
+        records = make_stream(random.Random(40), 80)
+        middleware.ingest_batch(records[:40])
+        # the first entailment query runs the full (decoded) fixpoint
+        middleware.query(ENTAIL_QUERIES[0], entail=True)
+        middleware.ingest_batch(records[40:])
+        shard = middleware.ontology_layer._backend.shards[0]
+
+        built = []
+        real_init = Triple.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(Triple, "__init__", counting_init)
+        shard.reason()
+        monkeypatch.undo()
+
+        assert shard.reasoner.last_trace.inferred > 0
+        assert built == []
+    finally:
+        middleware.close()
+
+
+# random rule shapes: repeated variables inside an atom, ground atoms,
+# constants the graph has never stored, and heads that would put a literal
+# or blank node where RDF forbids it
+SHAPE_VARS = [Variable(name) for name in "abcd"]
+SHAPE_NODES = [EX[f"n{i}"] for i in range(5)] + [BlankNode(f"shape{i}") for i in range(2)]
+SHAPE_PREDICATES = [EX[f"q{i}"] for i in range(3)]
+SHAPE_OBJECTS = SHAPE_NODES + SHAPE_PREDICATES + [Literal(0), Literal(1)]
+
+
+def random_shape_rule(rng: random.Random, name: str) -> Rule:
+    pools = (SHAPE_NODES, SHAPE_PREDICATES + [EX.neverStored], SHAPE_OBJECTS)
+    while True:
+        body = [
+            Triple(*(
+                rng.choice(SHAPE_VARS) if rng.random() < 0.6 else rng.choice(pool)
+                for pool in pools
+            ))
+            for _ in range(rng.randint(1, 3))
+        ]
+        body_vars = [var for atom in body for var in atom.variables()]
+        if not body_vars:
+            continue
+        head = []
+        for _ in range(rng.randint(1, 2)):
+            terms = [
+                rng.choice(body_vars) if rng.random() < 0.7 else rng.choice(pool)
+                for pool in (SHAPE_NODES, SHAPE_PREDICATES + [EX.headOnly], SHAPE_OBJECTS)
+            ]
+            try:
+                head.append(Triple(*terms))
+            except TypeError:
+                continue
+        if head:
+            return Rule(name, body=body, head=head)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_incremental_matches_naive_run_on_random_rule_shapes(seed):
+    rng = random.Random(seed)
+    rules = [random_shape_rule(rng, f"shape{k}") for k in range(rng.randint(1, 4))]
+
+    def random_fact():
+        return Triple(
+            rng.choice(SHAPE_NODES), rng.choice(SHAPE_PREDICATES), rng.choice(SHAPE_OBJECTS)
+        )
+
+    base = [random_fact() for _ in range(rng.randint(0, 12))]
+    delta = [random_fact() for _ in range(rng.randint(1, 8))]
+
+    graph = Graph()
+    graph.add_all(base)
+    engine = RuleEngine(rules)
+    engine.run(graph)
+    added = [graph.dictionary.lookup_triple(t) for t in delta if graph.add(t)]
+    engine.run_incremental(graph, added)
+
+    oracle = Graph()
+    oracle.add_all(base + delta)
+    RuleEngine(rules, use_ids=False).run(oracle)
     assert set(graph) == set(oracle)

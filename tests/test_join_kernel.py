@@ -25,7 +25,7 @@ from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.namespace import Namespace
 from repro.semantics.rdf.term import Literal, Variable
 from repro.semantics.rdf.triple import Triple
-from repro.semantics.rules import Rule
+from repro.semantics.rules import Rule, RuleEngine
 from repro.semantics.sparql.algebra import BGP, Filter, TermFilter
 from repro.semantics.sparql.bindings import Bindings
 from repro.semantics.sparql.evaluator import query
@@ -335,17 +335,25 @@ def test_rules_and_views_reach_the_same_kernel(readings):
     derived = rule.derive(readings)
     assert derived == rule.derive(readings, use_ids=False) and len(derived) == 40
     assert planner.statistics.kernels_compiled == before + 1
-    delta = graph_of([])
+    # close the graph with the naive decoded run, then top it up from a
+    # one-triple encoded delta: the rule seeds its first atom from it
+    RuleEngine([rule], use_ids=False).run(readings)
     fresh = Triple(EX.obs99, EX.observedBy, EX.sensor1)
     readings.add(fresh)
     readings.add(Triple(EX.obs99, EX.hasValue, Literal(99)))
-    delta.add(fresh)
-    assert rule.derive_delta(readings, delta) == {Triple(EX.sensor1, EX.watches, EX.obs99)}
+    before_topup = set(readings)
+    RuleEngine([rule]).run_incremental(readings, [readings.dictionary.lookup_triple(fresh)])
+    assert set(readings) - before_topup == {Triple(EX.sensor1, EX.watches, EX.obs99)}
     compiled = planner.statistics.kernels_compiled
-    # seeding again from another delta triple of the same atom: no compile
-    assert rule.derive_delta(readings, delta) == rule.derive_delta(
-        readings, delta, use_ids=False
-    )
+    # seeding again from another delta triple of the same atom: no compile,
+    # and the top-up reaches the closure the naive decoded run computes
+    again = Triple(EX.obs98, EX.observedBy, EX.sensor2)
+    readings.add(again)
+    readings.add(Triple(EX.obs98, EX.hasValue, Literal(98)))
+    oracle = graph_of(readings)
+    RuleEngine([rule]).run_incremental(readings, [readings.dictionary.lookup_triple(again)])
+    RuleEngine([rule], use_ids=False).run(oracle)
+    assert set(readings) == set(oracle)
     assert planner.statistics.kernels_compiled == compiled
 
 

@@ -435,7 +435,7 @@ def test_incremental_encoded_equals_full_decoded(seed):
     for _ in range(15):
         t = _random_triple(delta_rng)
         if incremental_graph.add(t):
-            delta.append(t)
+            delta.append(incremental_graph.dictionary.lookup_triple(t))
         full_graph.add(t)
     incremental_engine.run_incremental(incremental_graph, delta)
     decoded_engine.run(full_graph)
