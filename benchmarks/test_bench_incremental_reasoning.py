@@ -1,10 +1,10 @@
 """E7 -- incremental (delta-driven) reasoning vs. the from-scratch fixpoint.
 
-The ontology segment layer re-reasons after every ingest batch.  With the
-naive engine that cost grew with the *accumulated* graph; the semi-naive
-incremental engine seeds rule joins from the batch's delta, so the
-per-batch top-up stays ~flat while the from-scratch baseline keeps
-growing with total triples.
+The ontology segment layer re-reasons after every ingest batch.  A run
+from scratch — the semi-naive engine seeded with every triple in the
+store — costs time that grows with the *accumulated* graph; the top-up
+seeds rule joins from the batch's delta only, so it stays ~flat while the
+from-scratch baseline keeps growing with total triples.
 """
 
 import time
@@ -83,15 +83,16 @@ def test_bench_incremental_vs_from_scratch_scaling(wall_clock_thresholds):
 
         full_time = None
         if batch_index in checkpoints:
-            # from-scratch baseline: naive fixpoint over the whole graph,
-            # what every post-batch materialize() cost before delta tracking
+            # from-scratch baseline: the same engine seeded with every
+            # triple in the store, what every post-batch materialize()
+            # would cost without delta tracking
             scratch = graph.copy()
             started = time.perf_counter()
             Reasoner(scratch).materialize(full=True)
             full_time = time.perf_counter() - started
             full_times[batch_index] = full_time
             # the incrementally maintained graph is already closed: the
-            # from-scratch oracle must not find anything new
+            # from-scratch run must not find anything new
             assert len(scratch) == len(graph)
 
         rows.append({

@@ -179,32 +179,26 @@ class Reasoner:
         trace = reasoner.materialize()
         assert reasoner.is_instance_of(obs, SSN.Observation)
 
-    The materialisation is **delta-driven**: once its first (full) run
-    finishes, the reasoner registers a
+    Every materialisation is one semi-naive run in id space
+    (:meth:`RuleEngine.run`).  The first run starts from every triple in
+    the store; once it finishes, the reasoner registers a
     :class:`~repro.semantics.rdf.graph.ChangeTracker` on its graph, so any
     later mutation marks the closure stale, and the next entailment query
-    (or :meth:`ensure_materialized` call) tops the closure up
-    *incrementally*, in id space — only rules whose body can touch the
-    added triples are refired, seeded from the encoded delta.  Cost is
-    therefore proportional to the size of the added batch, not the whole
-    graph.
-    ``materialize(full=True)`` forces a from-scratch naive fixpoint (the
-    correctness oracle the equivalence tests compare against); removals
-    and newly registered rules also fall back to a full run.  Inferred
-    triples are never retracted when their premises are removed.
+    (or :meth:`ensure_materialized` call) tops the closure up from the
+    encoded delta — only rules whose body can touch the added triples are
+    refired.  Cost is therefore proportional to the size of the added
+    batch, not the whole graph.  Removals, newly registered rules and
+    ``materialize(full=True)`` start the run from the whole store again.
+    Inferred triples are never retracted when their premises are removed.
     """
 
     def __init__(
         self,
         graph: Graph,
         extra_rules: Optional[Iterable[Rule]] = None,
-        use_ids: bool = True,
     ):
         self.graph = graph
-        # use_ids selects the dictionary-encoded join loop of the naive
-        # full run (the default); the decoded-object loop is kept as the
-        # oracle the randomized encoded-vs-decoded suite compares against
-        self._engine = RuleEngine(_rdfs_owl_rules(), use_ids=use_ids)
+        self._engine = RuleEngine(_rdfs_owl_rules())
         if extra_rules:
             self._engine.extend(extra_rules)
         # created when the first (always full) run finishes: until then a
@@ -230,18 +224,15 @@ class Reasoner:
     def materialize(self, full: bool = False) -> InferenceTrace:
         """Run forward chaining to fixpoint, adding inferred triples.
 
-        Incremental (semi-naive, seeded from the triples added since the
-        last run) whenever a previous closure exists and nothing was
-        retracted; pass ``full=True`` to force the from-scratch naive
-        fixpoint.
+        Seeded from the triples added since the last run whenever a
+        previous closure exists and nothing was retracted; otherwise, or
+        with ``full=True``, seeded from every triple in the store.
         """
         tracker = self._tracker
         delta = None if tracker is None else tracker.drain()
+        topup = delta is not None and self._materialized and not full and not delta.needs_full
         try:
-            if delta is None or full or not self._materialized or delta.needs_full:
-                trace = self._engine.run(self.graph)
-            else:
-                trace = self._engine.run_incremental(self.graph, delta.added_ids)
+            trace = self._engine.run(self.graph, delta.added_ids if topup else None)
         except BaseException:
             # a failed run (e.g. a user rule's guard raising an unexpected
             # exception) must not lose the delta, or the closure would stay

@@ -2,23 +2,20 @@
 
 Rules are Horn clauses of triple patterns: when every pattern in the body
 matches the graph under some variable binding, the head patterns are
-instantiated and asserted.  The engine offers two evaluation modes:
+instantiated and asserted.  :meth:`RuleEngine.run` is the one evaluation
+mode: *semi-naive* forward chaining from a frontier of id triples, in id
+space end to end.  Only rules whose body can touch the frontier are
+refired, each refiring seeds one body atom from a frontier id triple and
+joins the remaining atoms against the full graph as id rows
+(:meth:`~repro.semantics.sparql.kernel.PreparedJoin.rows`), and the heads
+are asserted as id triples.  No :class:`Triple` is built; only a guarded
+rule decodes its solution, into the :class:`Bindings` the guard reads.
 
-* :meth:`RuleEngine.run` — *naive* forward chaining to a fixed point:
-  every rule is re-derived against the whole graph each iteration, and
-  its solutions are decoded into :class:`Triple` heads (over the compiled
-  id-space join, or over decoded objects with ``use_ids=False``).  This
-  is the from-scratch oracle; its cost grows with total graph size.
-* :meth:`RuleEngine.run_incremental` — *semi-naive* forward chaining from
-  an encoded delta, in id space end to end: only rules whose body can
-  touch the frontier are refired, each refiring seeds one body atom from
-  a frontier id triple and joins the remaining atoms against the full
-  graph as id rows
-  (:meth:`~repro.semantics.sparql.kernel.PreparedJoin.rows`), and the
-  heads are asserted as id triples.  No :class:`Triple` is built; only
-  a guarded rule decodes its solution, into the :class:`Bindings` the
-  guard reads.  Per-round cost is proportional to the delta, not the
-  graph.
+The first frontier is either a delta (the triples added since the graph
+was last closed: a top-up whose per-round cost is proportional to the
+delta, not the graph) or, with ``delta=None``, every triple in the store —
+the textbook full fixpoint (Δ₀ = the whole database; Abiteboul, Hull &
+Vianu, *Foundations of Databases*, ch. 13).
 
 Two clients use this module:
 
@@ -78,11 +75,6 @@ class Rule:
                     raise ValueError(
                         f"rule {self.name!r}: head variable {v} not bound in body"
                     )
-        # the join operators of this rule — the whole body, and the body
-        # minus each seed atom — are kept, because the prepared joins live
-        # on them and the incremental engine seeds the same ones thousands
-        # of times per batch
-        self._joins: Dict[tuple, BGP] = {}
         # the distinct head constants, interned lazily per dictionary
         self._head_terms: Tuple[Term, ...] = tuple(dict.fromkeys(
             term for pattern in self.head for term in pattern
@@ -90,15 +82,6 @@ class Rule:
         ))
         self._head_ids: Tuple[object, Tuple[int, ...]] = (None, ())
         self._atoms: Optional[List[_SeedAtom]] = None
-
-    def _join(self, skip: Optional[int], use_ids: bool) -> BGP:
-        """The body's join, without atom ``skip`` when seeding from it."""
-        join = self._joins.get((skip, use_ids))
-        if join is None:
-            join = self._joins[(skip, use_ids)] = BGP(
-                [p for i, p in enumerate(self.body) if i != skip], use_ids=use_ids
-            )
-        return join
 
     def body_predicates(self) -> Optional[FrozenSet[Term]]:
         """The ground predicates of the body atoms, for delta indexing.
@@ -113,17 +96,6 @@ class Rule:
                 return None
             predicates.add(pattern.predicate)
         return frozenset(predicates)
-
-    def derive(self, graph: Graph, use_ids: bool = True) -> Set[Triple]:
-        """All head triples derivable from ``graph`` by this rule.
-
-        ``use_ids`` selects the dictionary-encoded join loop (variables
-        bound to integer ids, decoded only per solution); pass ``False``
-        for the decoded-object join, the equivalence oracle.
-        """
-        derived: Set[Triple] = set()
-        self._instantiate(self._join(None, use_ids).solutions(graph), derived)
-        return derived
 
     def fire(
         self,
@@ -247,23 +219,6 @@ class Rule:
             allowed = values if allowed is None else allowed & values
         return allowed
 
-    def _instantiate(self, solutions: Iterable[Bindings], out: Set[Triple]) -> None:
-        """Apply the guard and add the ground head triples of each solution."""
-        for solution in solutions:
-            if self.guard is not None:
-                try:
-                    if not self.guard(solution):
-                        continue
-                except (TypeError, ValueError, KeyError):
-                    continue
-            mapping = solution.as_dict()
-            for pattern in self.head:
-                # a head that would place a bound literal in subject or
-                # predicate position derives nothing from this solution
-                triple = pattern.try_substitute(mapping)
-                if triple is not None and triple.is_ground():
-                    out.add(triple)
-
     def __repr__(self) -> str:
         return f"Rule({self.name!r}, body={len(self.body)}, head={len(self.head)})"
 
@@ -310,7 +265,8 @@ class _SeedAtom:
         self.join: Optional[PreparedJoin] = None
         self.feed: Optional[Callable[[tuple], tuple]] = None
         if len(rule.body) > 1:
-            join = self.join = rule._join(index, True).prepared(tuple(seed_vars))
+            rest = [atom for i, atom in enumerate(rule.body) if i != index]
+            join = self.join = BGP(rest).prepared(tuple(seed_vars))
             if len(join.seed_vars) != len(seed_vars):
                 self.feed = _picker([seed_vars.index(var) for var in join.seed_vars])
             base = len(slots)
@@ -377,15 +333,9 @@ class RuleEngine:
         self,
         rules: Optional[Iterable[Rule]] = None,
         max_iterations: int = 100,
-        use_ids: bool = True,
     ):
         self.rules: List[Rule] = list(rules or [])
         self.max_iterations = max_iterations
-        #: The naive :meth:`run` joins over dictionary-encoded ids
-        #: (default) or decoded term objects (the equivalence oracle used
-        #: by the randomized encoded-vs-decoded suite);
-        #: :meth:`run_incremental` is always in id space.
-        self.use_ids = use_ids
         self._predicate_index: Optional[Dict[Term, List[Rule]]] = None
         self._wildcard_rules: List[Rule] = []
 
@@ -420,47 +370,31 @@ class RuleEngine:
             self._wildcard_rules = wildcard
         return self._predicate_index
 
-    def run(self, graph: Graph) -> InferenceTrace:
-        """Apply all rules repeatedly until no new triple is produced.
+    def run(
+        self, graph: Graph, delta: Optional[Iterable[TripleIds]] = None
+    ) -> InferenceTrace:
+        """Semi-naive forward chaining to a fixpoint, in id space.
 
-        The inferred triples are added to ``graph`` in place; the returned
-        :class:`InferenceTrace` reports how many triples each rule added.
-        """
-        trace = InferenceTrace()
-        for iteration in range(self.max_iterations):
-            added_this_round = 0
-            for rule in self.rules:
-                new_triples = [
-                    t for t in rule.derive(graph, use_ids=self.use_ids)
-                    if t not in graph
-                ]
-                for triple in new_triples:
-                    graph.add(triple)
-                trace.record(rule.name, len(new_triples))
-                added_this_round += len(new_triples)
-            trace.iterations = iteration + 1
-            if added_this_round == 0:
-                break
-        return trace
-
-    def run_incremental(self, graph: Graph, delta: Iterable[TripleIds]) -> InferenceTrace:
-        """Semi-naive fixpoint from a delta of recently added id triples.
-
-        ``graph`` must already contain the delta (the encoded mutations
-        since the caller's last run, e.g. ``GraphDelta.added_ids``).  Only
-        rules whose body predicates occur in the current frontier are
-        refired, each firing joins from a frontier triple instead of
-        re-enumerating the whole graph, and the whole fixpoint stays in
-        id space: frontier, seeds, join rows and heads are id tuples, and
-        each firing's new triples enter through :meth:`Graph.add_encoded`
-        in sorted order, so the insertion (and write-ahead log) order is a
-        function of the ids alone.  Produces the same fixpoint as
-        :meth:`run` provided ``graph`` was closed under the rules before
-        the delta was added.
+        ``delta`` is the first frontier: id triples ``graph`` already
+        contains that were added since it was last closed under the rules
+        (e.g. ``GraphDelta.added_ids``).  ``None`` means every triple in
+        the store, which computes the closure from scratch.  Each round
+        refires only the rules whose body predicates occur in the
+        frontier, each firing joins from a frontier triple instead of
+        re-enumerating the whole graph, and the round's new triples are
+        the next frontier.  Frontier, seeds, join rows and heads are id
+        tuples; each firing's new triples enter through
+        :meth:`Graph.add_encoded` in sorted order, so the insertion (and
+        write-ahead log) order is a function of the ids alone.  The
+        returned :class:`InferenceTrace` reports how many triples each
+        rule added.
         """
         trace = InferenceTrace()
         contains = graph.contains_ids
-        frontier: Set[TripleIds] = {t for t in delta if contains(t)}
+        frontier: Set[TripleIds] = (
+            set(graph.triples_ids()) if delta is None
+            else {t for t in delta if contains(t)}
+        )
         if not frontier:
             return trace
         index = self._body_index()
@@ -492,15 +426,6 @@ class RuleEngine:
                 break
             frontier = next_frontier
         return trace
-
-    def infer_only(self, graph: Graph) -> Graph:
-        """Like :meth:`run` but returns only the inferred triples.
-
-        The input graph is not modified.
-        """
-        working = graph.copy()
-        self.run(working)
-        return working.difference(graph)
 
     def __repr__(self) -> str:
         return f"<RuleEngine {len(self.rules)} rules>"

@@ -239,7 +239,7 @@ class PreparedJoin:
 
     __slots__ = (
         "shape", "const_terms", "tests", "seed_vars", "out_vars",
-        "passthrough_vars", "distinct", "_dictionary", "_consts", "_run",
+        "passthrough_vars", "distinct", "_dictionary", "_consts", "_run", "_unbound",
     )
 
     def __init__(
@@ -293,25 +293,32 @@ class PreparedJoin:
         self._dictionary = None
         self._consts: Tuple[int, ...] = ()
         self._run: Optional[Kernel] = None
+        # (dictionary, its length) at the last failed bind
+        self._unbound: Tuple[object, int] = (None, 0)
 
     def _bind(self, graph: Graph) -> bool:
         """Resolve the constants in ``graph``'s dictionary (never interning).
 
         ``False`` while any constant is unknown there: no stored triple
-        can match, and a later call looks again.
+        can match.  The dictionary is append-only, so a failed bind is
+        remembered by its length and only retried once it has grown.
         """
         from repro.semantics.sparql.planner import planner_for
 
-        lookup = graph.dictionary.lookup
+        dictionary = graph.dictionary
+        if self._unbound == (dictionary, len(dictionary)):
+            return False
+        lookup = dictionary.lookup
         consts = []
         for term in self.const_terms:
             term_id = lookup(term)
             if term_id is None:
+                self._unbound = (dictionary, len(dictionary))
                 return False
             consts.append(term_id)
         self._consts = tuple(consts)
         self._run = planner_for(graph).kernel(self.shape)
-        self._dictionary = graph.dictionary
+        self._dictionary = dictionary
         return True
 
     def rows(self, graph: Graph, seed: Sequence[int]) -> Iterator[Tuple[int, ...]]:

@@ -9,7 +9,7 @@ alive instead: it attaches a
 :class:`~repro.semantics.rdf.graph.ChangeTracker` to the graph and, on
 each refresh, folds the drained :class:`~repro.semantics.rdf.graph.GraphDelta`
 into the stored solution set in O(|delta|) — the same semi-naive seeding
-trick :meth:`~repro.semantics.rules.RuleEngine.run_incremental` plays for
+trick :meth:`~repro.semantics.rules.RuleEngine.run` plays for
 rules, lifted into the planner's :class:`~repro.semantics.sparql.planner.PlannedBGP`
 join machinery:
 

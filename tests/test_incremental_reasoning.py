@@ -1,14 +1,14 @@
 """Randomized equivalence: incremental vs. from-scratch materialisation.
 
 The incremental (semi-naive, delta-seeded) reasoner must produce exactly
-the same closure as the naive from-scratch fixpoint over any sequence of
-add-batches.  Each case generates a random mix of ontology axioms
-(subclass / subproperty / equivalence / domain / range / property
-characteristics / sameAs), instance data and literal-valued indicator
-sightings, feeds it to one reasoner batch by batch (incremental top-up
-after every batch) and to a fresh oracle reasoner from scratch, and
-compares the resulting graphs triple for triple.  IK-style rules with
-numeric guards are registered on both sides.
+the same closure as the naive from-scratch fixpoint
+(``naive_fixpoint.py``) over any sequence of add-batches.  Each case
+generates a random mix of ontology axioms (subclass / subproperty /
+equivalence / domain / range / property characteristics / sameAs),
+instance data and literal-valued indicator sightings, feeds it to one
+reasoner batch by batch (incremental top-up after every batch) and to the
+naive oracle from scratch, and compares the resulting graphs triple for
+triple.  IK-style rules with numeric guards are registered on both sides.
 """
 
 import random
@@ -21,6 +21,8 @@ from repro.semantics.rdf.term import BlankNode, Literal, Variable
 from repro.semantics.rdf.triple import Triple
 from repro.semantics.reasoner import Reasoner
 from repro.semantics.rules import Rule, RuleEngine
+
+from naive_fixpoint import naive_run, reasoner_closure
 
 EX = Namespace("http://example.org/inc/")
 
@@ -110,7 +112,7 @@ def test_incremental_matches_from_scratch(seed):
 
         oracle_graph = Graph()
         oracle_graph.add_all(asserted)
-        Reasoner(oracle_graph, extra_rules=ik_rules()).materialize(full=True)
+        reasoner_closure(oracle_graph, ik_rules())
         assert set(incremental_graph) == set(oracle_graph)
 
 
@@ -130,7 +132,7 @@ def test_incremental_matches_explicit_materialize_calls(seed):
 
     oracle_graph = Graph()
     oracle_graph.add_all(asserted)
-    Reasoner(oracle_graph, extra_rules=ik_rules()).materialize(full=True)
+    reasoner_closure(oracle_graph, ik_rules())
     assert set(incremental_graph) == set(oracle_graph)
 
 
@@ -163,7 +165,7 @@ def test_single_batch_closure_matches_unified_ontology_growth():
     oracle = baseline
     oracle_annotator = SemanticAnnotator(oracle)
     oracle_annotator.annotate_batch(observations)
-    Reasoner(oracle).materialize(full=True)
+    reasoner_closure(oracle)
     assert set(graph) == set(oracle)
 
 
@@ -190,39 +192,50 @@ def test_topup_fires_rules_whose_body_predicate_the_same_topup_interned():
     oracle = Graph()
     oracle.add(Triple(EX.ind0, RDF.type, EX.Class0))
     oracle.add(Triple(EX.Class0, OWL.equivalentClass, EX.Class1))
-    Reasoner(oracle).materialize(full=True)
+    reasoner_closure(oracle)
     assert set(graph) == set(oracle)
 
 
-def test_shard_topup_builds_no_triple_objects(monkeypatch):
-    """A one-shard top-up over a 40-record poll stays in id space."""
-    from test_process_backend import build
-    from test_sharding import ENTAIL_QUERIES, make_stream
+def _triples_built(monkeypatch, action) -> int:
+    """How many :class:`Triple` objects ``action()`` builds."""
+    built = []
+    real_init = Triple.__init__
 
-    middleware = build(1, "inline")
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Triple, "__init__", counting_init)
     try:
-        records = make_stream(random.Random(40), 80)
-        middleware.ingest_batch(records[:40])
-        # the first entailment query runs the full (decoded) fixpoint
-        middleware.query(ENTAIL_QUERIES[0], entail=True)
-        middleware.ingest_batch(records[40:])
-        shard = middleware.ontology_layer._backend.shards[0]
-
-        built = []
-        real_init = Triple.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            real_init(self, *args)
-
-        monkeypatch.setattr(Triple, "__init__", counting_init)
-        shard.reason()
-        monkeypatch.undo()
-
-        assert shard.reasoner.last_trace.inferred > 0
-        assert built == []
+        action()
     finally:
-        middleware.close()
+        monkeypatch.undo()
+    return len(built)
+
+
+def test_shard_topup_builds_no_triple_objects(monkeypatch):
+    """Neither the first full run, at any store size, nor a one-shard
+    top-up over a 40-record poll builds a Triple: both stay in id space."""
+    from test_process_backend import build
+    from test_sharding import make_stream
+
+    records = make_stream(random.Random(40), 120)
+    full_run_built = []
+    for size in (40, 80):
+        middleware = build(1, "inline")
+        try:
+            middleware.ingest_batch(records[:size])
+            shard = middleware.ontology_layer._backend.shards[0]
+            # what the first entailment query runs: the full fixpoint
+            full_run_built.append(_triples_built(monkeypatch, shard.reason))
+            assert shard.reasoner.last_trace.inferred > 0
+            if size == 80:
+                middleware.ingest_batch(records[80:])
+                assert _triples_built(monkeypatch, shard.reason) == 0
+                assert shard.reasoner.last_trace.inferred > 0
+        finally:
+            middleware.close()
+    assert full_run_built == [0, 0]
 
 
 # random rule shapes: repeated variables inside an atom, ground atoms,
@@ -279,9 +292,9 @@ def test_incremental_matches_naive_run_on_random_rule_shapes(seed):
     engine = RuleEngine(rules)
     engine.run(graph)
     added = [graph.dictionary.lookup_triple(t) for t in delta if graph.add(t)]
-    engine.run_incremental(graph, added)
+    engine.run(graph, added)
 
     oracle = Graph()
     oracle.add_all(base + delta)
-    RuleEngine(rules, use_ids=False).run(oracle)
+    naive_run(rules, oracle, use_ids=False)
     assert set(graph) == set(oracle)

@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.semantics.rdf.dictionary import TermDictionary
 from repro.semantics.rdf.graph import Graph
 from repro.semantics.rdf.namespace import Namespace
 from repro.semantics.rdf.term import Literal, Variable
@@ -38,6 +39,8 @@ from repro.semantics.sparql.planner import (
     plan_patterns,
     planner_for,
 )
+
+from naive_fixpoint import derive, naive_run
 
 from test_process_backend import LAYOUTS, build
 from test_sharding import make_stream, solution_set
@@ -332,17 +335,17 @@ def test_rules_and_views_reach_the_same_kernel(readings):
         head=[Triple(sensor, EX.watches, obs)],
     )
     before = planner.statistics.kernels_compiled
-    derived = rule.derive(readings)
-    assert derived == rule.derive(readings, use_ids=False) and len(derived) == 40
+    derived = derive(rule, readings)
+    assert derived == derive(rule, readings, use_ids=False) and len(derived) == 40
     assert planner.statistics.kernels_compiled == before + 1
     # close the graph with the naive decoded run, then top it up from a
     # one-triple encoded delta: the rule seeds its first atom from it
-    RuleEngine([rule], use_ids=False).run(readings)
+    naive_run([rule], readings, use_ids=False)
     fresh = Triple(EX.obs99, EX.observedBy, EX.sensor1)
     readings.add(fresh)
     readings.add(Triple(EX.obs99, EX.hasValue, Literal(99)))
     before_topup = set(readings)
-    RuleEngine([rule]).run_incremental(readings, [readings.dictionary.lookup_triple(fresh)])
+    RuleEngine([rule]).run(readings, [readings.dictionary.lookup_triple(fresh)])
     assert set(readings) - before_topup == {Triple(EX.sensor1, EX.watches, EX.obs99)}
     compiled = planner.statistics.kernels_compiled
     # seeding again from another delta triple of the same atom: no compile,
@@ -351,8 +354,8 @@ def test_rules_and_views_reach_the_same_kernel(readings):
     readings.add(again)
     readings.add(Triple(EX.obs98, EX.hasValue, Literal(98)))
     oracle = graph_of(readings)
-    RuleEngine([rule]).run_incremental(readings, [readings.dictionary.lookup_triple(again)])
-    RuleEngine([rule], use_ids=False).run(oracle)
+    RuleEngine([rule]).run(readings, [readings.dictionary.lookup_triple(again)])
+    naive_run([rule], oracle, use_ids=False)
     assert set(readings) == set(oracle)
     assert planner.statistics.kernels_compiled == compiled
 
@@ -360,6 +363,71 @@ def test_rules_and_views_reach_the_same_kernel(readings):
 # --------------------------------------------------------------------- #
 # DISTINCT push-down
 # --------------------------------------------------------------------- #
+
+def _twin_rule() -> Rule:
+    """A rule whose second atom names ``ex:twinOf``, which ``readings`` lacks."""
+    obs, sensor, twin = Variable("obs"), Variable("s"), Variable("t")
+    return Rule(
+        "twin",
+        body=[Triple(obs, EX.observedBy, sensor), Triple(sensor, EX.twinOf, twin)],
+        head=[Triple(obs, EX.observedBy, twin)],
+    )
+
+
+def _relink(graph, start: int):
+    """Ten new ``observedBy`` triples over stored terms only, as id triples."""
+    added = []
+    for i in range(start, start + 10):
+        fresh = Triple(EX[f"obs{i}"], EX.observedBy, EX[f"sensor{(i + 1) % 4}"])
+        assert graph.add(fresh)
+        added.append(graph.dictionary.lookup_triple(fresh))
+    return added
+
+
+def test_a_failed_bind_is_not_retried_until_the_dictionary_grows(readings, monkeypatch):
+    engine = RuleEngine([_twin_rule()])
+    engine.run(readings)
+    looked_up = []
+    real_lookup = TermDictionary.lookup
+
+    def counting_lookup(self, term):
+        if term == EX.twinOf:
+            looked_up.append(term)
+        return real_lookup(self, term)
+
+    monkeypatch.setattr(TermDictionary, "lookup", counting_lookup)
+    size = len(readings.dictionary)
+    per_topup = []
+    for start in (0, 10, 20):
+        looked_up.clear()
+        # ten seeds for the join of ``?s ex:twinOf ?t``, none of them new terms
+        trace = engine.run(readings, _relink(readings, start))
+        assert trace.inferred == 0
+        per_topup.append(len(looked_up))
+    assert len(readings.dictionary) == size
+    # the seed atom's own constant check, once per top-up; the join's bind
+    # failed at this dictionary length before and is not looked up again
+    assert per_topup == [1, 1, 1]
+
+
+def test_a_join_binds_once_its_missing_constant_is_interned(readings):
+    engine = RuleEngine([_twin_rule()])
+    engine.run(readings)
+    engine.run(readings, _relink(readings, 0))
+    twins = Triple(EX.sensor1, EX.twinOf, EX.sensor2)
+    readings.add(twins)
+    engine.run(readings, [readings.dictionary.lookup_triple(twins)])
+    # only the ``observedBy`` atom can seed from this triple, so the
+    # derivation comes through the join whose bind failed
+    relinked = Triple(EX.obs12, EX.observedBy, EX.sensor1)
+    readings.add(relinked)
+    trace = engine.run(readings, [readings.dictionary.lookup_triple(relinked)])
+    assert trace.inferred == 1
+    assert Triple(EX.obs12, EX.observedBy, EX.sensor2) in readings
+    oracle = graph_of(readings)
+    naive_run([_twin_rule()], oracle, use_ids=False)
+    assert set(readings) == set(oracle)
+
 
 def test_distinct_is_taken_in_id_space_before_decode(readings):
     plan = build_plan(
